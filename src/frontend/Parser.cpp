@@ -8,6 +8,14 @@ using namespace rpcc;
 
 namespace {
 
+/// Nesting bound. Sema, Lowering and the AST destructors all recurse over
+/// what the parser builds, so one bound here keeps every later walk within
+/// the stack: a level is one recursive production entered (statement,
+/// assignment, conditional, unary, parenthesised or cast expression) or one
+/// operator folded into a binary or postfix chain (a left-deep chain is as
+/// deep as it is long).
+constexpr unsigned kMaxDepth = 1000;
+
 class Parser {
 public:
   Parser(std::vector<Token> Toks, std::vector<Diag> &Diags)
@@ -49,8 +57,36 @@ private:
     return cur();
   }
   void error(const std::string &Msg) {
-    Diags.push_back({cur().Line, cur().Col, Msg});
+    if (!TooDeep)
+      Diags.push_back({cur().Line, cur().Col, Msg});
   }
+
+  // -- Nesting bound ----------------------------------------------------------
+  /// Enters one nesting level. Past kMaxDepth it reports a single
+  /// diagnostic and skips to the end of input, so nothing descends further
+  /// and every enclosing production unwinds at once (their own errors are
+  /// muted). The caller leaves the level by decrementing Depth.
+  bool enter() {
+    if (++Depth <= kMaxDepth)
+      return true;
+    error("nesting too deep (more than " + std::to_string(kMaxDepth) +
+          " levels)");
+    TooDeep = true;
+    Pos = Toks.size() - 1; // the Eof token
+    return false;
+  }
+
+  /// One nesting level for the guard's lifetime; false past kMaxDepth.
+  class Nest {
+  public:
+    explicit Nest(Parser &P) : P(P), Ok(P.enter()) {}
+    ~Nest() { --P.Depth; }
+    explicit operator bool() const { return Ok; }
+
+  private:
+    Parser &P;
+    bool Ok;
+  };
 
   /// Skips tokens until a likely statement/declaration boundary.
   void synchronize() {
@@ -319,6 +355,9 @@ private:
 
   StmtPtr parseStmt() {
     unsigned L = cur().Line, C = cur().Col;
+    Nest N(*this);
+    if (!N)
+      return std::make_unique<EmptyStmt>(L, C);
     switch (cur().Kind) {
     case Tok::LBrace:
       ++Pos;
@@ -441,6 +480,9 @@ private:
   ExprPtr parseExpr() { return parseAssignment(); }
 
   ExprPtr parseAssignment() {
+    Nest N(*this);
+    if (!N)
+      return std::make_unique<IntLitExpr>(0, cur().Line, cur().Col);
     ExprPtr L0 = parseConditional();
     unsigned L = cur().Line, C = cur().Col;
     switch (cur().Kind) {
@@ -474,6 +516,9 @@ private:
   }
 
   ExprPtr parseConditional() {
+    Nest N(*this);
+    if (!N)
+      return std::make_unique<IntLitExpr>(0, cur().Line, cur().Col);
     ExprPtr Cond = parseBinary(0);
     if (!at(Tok::Question))
       return Cond;
@@ -517,18 +562,23 @@ private:
       return parseUnary();
     ExprPtr L0 = parseBinary(Level + 1);
     BinOp Op;
-    while (binOpFor(cur().Kind, Level, Op)) {
+    const unsigned Base = Depth;
+    while (binOpFor(cur().Kind, Level, Op) && enter()) {
       unsigned L = cur().Line, C = cur().Col;
       ++Pos;
       ExprPtr R0 = parseBinary(Level + 1);
       L0 = std::make_unique<BinaryExpr>(Op, std::move(L0), std::move(R0), L,
                                         C);
     }
+    Depth = Base;
     return L0;
   }
 
   ExprPtr parseUnary() {
     unsigned L = cur().Line, C = cur().Col;
+    Nest N(*this);
+    if (!N)
+      return std::make_unique<IntLitExpr>(0, L, C);
     switch (cur().Kind) {
     case Tok::Minus:
       ++Pos;
@@ -575,6 +625,9 @@ private:
     case Tok::LParen:
       // Cast or parenthesized expression.
       if (isTypeStartAt(Pos + 1)) {
+        Nest NC(*this);
+        if (!NC)
+          return std::make_unique<IntLitExpr>(0, L, C);
         ++Pos;
         bool SC = false;
         const Type *T = parseDeclSpec(SC);
@@ -604,8 +657,13 @@ private:
 
   ExprPtr parsePostfix() {
     ExprPtr E = parsePrimary();
+    const unsigned Base = Depth;
     for (;;) {
       unsigned L = cur().Line, C = cur().Col;
+      if (!atPostfixOp() || !enter()) {
+        Depth = Base;
+        return E;
+      }
       if (accept(Tok::LBracket)) {
         ExprPtr I = parseExpr();
         expect(Tok::RBracket, "after array index");
@@ -638,12 +696,22 @@ private:
         E = std::make_unique<UnaryExpr>(UnOp::PostInc, std::move(E), L, C);
         continue;
       }
-      if (at(Tok::MinusMinus)) {
-        ++Pos;
-        E = std::make_unique<UnaryExpr>(UnOp::PostDec, std::move(E), L, C);
-        continue;
-      }
-      return E;
+      ++Pos; // MinusMinus
+      E = std::make_unique<UnaryExpr>(UnOp::PostDec, std::move(E), L, C);
+    }
+  }
+
+  bool atPostfixOp() const {
+    switch (cur().Kind) {
+    case Tok::LBracket:
+    case Tok::LParen:
+    case Tok::Dot:
+    case Tok::Arrow:
+    case Tok::PlusPlus:
+    case Tok::MinusMinus:
+      return true;
+    default:
+      return false;
     }
   }
 
@@ -671,6 +739,9 @@ private:
       return std::make_unique<VarRefExpr>(std::move(N), L, C);
     }
     case Tok::LParen: {
+      Nest N(*this);
+      if (!N)
+        return std::make_unique<IntLitExpr>(0, L, C);
       ++Pos;
       ExprPtr E = parseExpr();
       expect(Tok::RParen, "to close parenthesized expression");
@@ -687,6 +758,8 @@ private:
   std::vector<Token> Toks;
   std::vector<Diag> &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;
+  bool TooDeep = false;
   Program P;
 };
 

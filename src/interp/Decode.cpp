@@ -300,10 +300,37 @@ DecodedOp loadIOp(DecodedOp D) {
   }
 }
 
+/// Cuts \p DF into counting segments: flags each segment's first slot and
+/// writes the next module-wide id into its closing instruction's Imm,
+/// recording the segment in \p Segs. Runs on the unfused stream of a
+/// verified function (every block ends in a terminator, so no segment runs
+/// across a block start).
+void markSegments(DecodedFunction &DF, const std::vector<uint32_t> &BlockStart,
+                  std::vector<DecodedSegment> &Segs) {
+  const uint32_t N = static_cast<uint32_t>(DF.Insts.size());
+  for (uint32_t S : BlockStart)
+    if (S < N)
+      DF.Insts[S].Flags |= DIFlagSegStart;
+  uint32_t First = 0;
+  for (uint32_t K = 0; K != N; ++K) {
+    DecodedInst &DI = DF.Insts[K];
+    if (DI.Flags & DIFlagSegStart)
+      First = K;
+    if (DI.D < DecodedOp::Call || DI.D > DecodedOp::RetVoid)
+      continue;
+    DI.Imm = static_cast<int64_t>(Segs.size());
+    Segs.push_back({DF.Id, First, K});
+    if (K + 1 != N)
+      DF.Insts[K + 1].Flags |= DIFlagSegStart; // resumes after a call
+  }
+}
+
 /// Greedy left-to-right superinstruction pass. A pair fuses only when the
 /// second instruction is not a block start (branches only ever target block
 /// starts, so control can never enter the middle of a fused pair). The
-/// second slot stays in the stream, dead, keeping branch targets stable.
+/// second slot stays in the stream, dead, keeping branch targets stable; it
+/// also keeps its opcode and flags, and a rebuilt first slot keeps the
+/// first operation's, so the segment counts read slot by slot stay exact.
 /// Pairs involving a memory operation only fuse when decoding without a
 /// profile sink; all other pairs fuse identically either way.
 void fuseSuperinstructions(DecodedFunction &DF,
@@ -322,9 +349,10 @@ void fuseSuperinstructions(DecodedFunction &DF,
     if (I1.D == DecodedOp::Br && I1.A == I0.Result && I0.Result != NoReg) {
       DecodedOp F = cmpBrOp(I0.D);
       if (F != DecodedOp::kNumDecodedOps) {
-        I0.D = F; // Op stays the compare; the handler counts the Br
+        I0.D = F; // Op stays the compare; the handler closes the segment
         I0.T0 = I1.T0;
         I0.T1 = I1.T1;
+        I0.Imm = I1.Imm; // the Br's segment id
         ++K;
         continue;
       }
@@ -338,7 +366,8 @@ void fuseSuperinstructions(DecodedFunction &DF,
           (I1.A == I0.Result || I1.B == I0.Result)) {
         DecodedInst NI = I1;
         NI.D = F;
-        NI.Op = Opcode::LoadI; // prologue counts the LoadI first
+        NI.Op = Opcode::LoadI; // the slot counts the LoadI
+        NI.Flags = I0.Flags;
         NI.T0 = I0.Result;
         NI.Imm = I0.Imm;
         I0 = NI;
@@ -351,7 +380,8 @@ void fuseSuperinstructions(DecodedFunction &DF,
     if ((I0.D == DecodedOp::LoadI || I0.D == DecodedOp::Copy) &&
         I1.D == DecodedOp::Jmp) {
       I0.D = I0.D == DecodedOp::LoadI ? DecodedOp::LoadIJmp : DecodedOp::CopyJmp;
-      I0.T0 = I1.T0; // Op stays; the handler counts the Jmp
+      I0.T0 = I1.T0; // Op stays; the handler closes the segment
+      I0.B = static_cast<Reg>(I1.Imm); // the Jmp's segment id (B is free)
       ++K;
       continue;
     }
@@ -380,7 +410,8 @@ void fuseSuperinstructions(DecodedFunction &DF,
       DecodedInst NI;
       NI.D = I1.Op == Opcode::ConstLoad ? DecodedOp::AddConstLoad
                                         : DecodedOp::AddLoad;
-      NI.Op = Opcode::Add; // prologue counts the Add first
+      NI.Op = Opcode::Add; // the slot counts the Add
+      NI.Flags = I0.Flags;
       NI.MemTy = I1.MemTy;
       NI.Result = I1.Result;
       NI.A = I0.A;
@@ -397,7 +428,8 @@ void fuseSuperinstructions(DecodedFunction &DF,
         I1.A == I0.Result && I0.Result != NoReg) {
       DecodedInst NI;
       NI.D = DecodedOp::AddStore;
-      NI.Op = Opcode::Add; // prologue counts the Add first
+      NI.Op = Opcode::Add; // the slot counts the Add
+      NI.Flags = I0.Flags;
       NI.MemTy = I1.MemTy;
       NI.Result = I1.B; // the stored value
       NI.A = I0.A;
@@ -466,6 +498,7 @@ DecodedModule rpcc::decodeModule(const Module &M, const GlobalLayout &GL,
         if (Sink)
           DF.ProfSlots.push_back(ProfSlot);
       }
+    markSegments(DF, BlockStart, DM.Segments);
     if (Fuse)
       fuseSuperinstructions(DF, BlockStart, Sink != nullptr);
     DF.BlockStarts = std::move(BlockStart);

@@ -13,6 +13,14 @@
 /// operation carries its pre-packed profile slot. The step loop then runs
 /// with zero hash lookups and no per-block indirection.
 ///
+/// Decoding also cuts each function into counting segments: a segment runs
+/// from a block start, or from the slot after a call, through the next
+/// Br/Jmp/RetVal/RetVoid/Call/CallIndirect. Its first slot carries
+/// DIFlagSegStart and its closing instruction carries the module-wide
+/// segment id, so the fast engines count one hit per executed segment and
+/// expand the hits into per-opcode, load/store and per-function counts once
+/// the run is over (see docs/INTERPRETER.md).
+///
 /// Decoding is observationally pure: it never faults and never counts.
 /// IL conditions the reference (switch) engine only discovers at run time —
 /// a scalar reference to an unallocated global, a foreign frame local, the
@@ -120,13 +128,14 @@ enum class DecodedOp : uint8_t {
   kNumDecodedOps
 };
 
-/// DecodedInst::Flags bits: the counting facts the step-loop prologue needs,
-/// precomputed from the original opcode.
+/// DecodedInst::Flags bits: the counting facts of a slot, precomputed from
+/// its original opcode.
 enum : uint8_t {
-  DIFlagLoad = 1 << 0,    ///< counts as a Figure 7 load
-  DIFlagStore = 1 << 1,   ///< counts as a Figure 6 store
-  DIFlagMem = 1 << 2,     ///< profiled when a sink is attached
-  DIFlagPtrProf = 1 << 3, ///< profile tag resolved from the runtime address
+  DIFlagLoad = 1 << 0,     ///< counts as a Figure 7 load
+  DIFlagStore = 1 << 1,    ///< counts as a Figure 6 store
+  DIFlagMem = 1 << 2,      ///< profiled when a sink is attached
+  DIFlagPtrProf = 1 << 3,  ///< profile tag resolved from the runtime address
+  DIFlagSegStart = 1 << 4, ///< first slot of a counting segment
 };
 
 /// One pre-decoded instruction: fixed operand slots, no heap indirection.
@@ -134,20 +143,21 @@ enum : uint8_t {
 /// slot of memory operations lives in DecodedFunction::ProfSlots.
 struct DecodedInst {
   DecodedOp D = DecodedOp::Fault;
-  /// Original opcode of the step the prologue counts first, kept so
+  /// Original opcode of the slot's (first) operation, kept so
   /// OpCounters::ByOpcode matches the switch engine exactly (several
-  /// opcodes share one DecodedOp and vice versa; fused pairs count their
-  /// second opcode from the handler).
+  /// opcodes share one DecodedOp and vice versa). The dead second slot of a
+  /// fused pair keeps its own, so counting slot by slot stays exact.
   Opcode Op = Opcode::kNumOpcodes;
   MemType MemTy = MemType::I64;
   uint8_t Flags = 0;
   Reg Result = NoReg;
   Reg A = NoReg; ///< first operand; arg count for Call; callee reg for IJSR
-  Reg B = NoReg; ///< second operand
+  /// Second operand; segment id for the fused LoadIJmp/CopyJmp.
+  Reg B = NoReg;
   /// LoadI immediate (also for LoadI* fusions); LoadF bit pattern; baked
   /// absolute address (*Abs) or frame offset (*Frame), LoadAddr
   /// displacement already folded in; index into DecodedFunction::FaultMsgs
-  /// for Fault.
+  /// for Fault; segment id for a closing instruction (and Cmp*Br).
   int64_t Imm = 0;
   /// Br taken / Jmp target instruction index (Cmp*Br too); Callee FuncId
   /// for Call; argument pool base for CallIndirect; destination register of
@@ -177,10 +187,10 @@ struct DecodedFunction {
   std::vector<Reg> ParamRegs;
   /// Instruction index of every block's first instruction, in block-id
   /// order (ascending). Exposes the block structure to the JIT tier: block
-  /// boundaries are its register-residency and deferred-counter flush
-  /// points, and branch targets are exactly this set. Populated for fused
-  /// and unfused streams alike (indices are identical by construction —
-  /// fusion never moves or removes a slot).
+  /// boundaries are its register-residency points, and branch targets are
+  /// exactly this set. Populated for fused and unfused streams alike
+  /// (indices are identical by construction — fusion never moves or
+  /// removes a slot).
   std::vector<uint32_t> BlockStarts;
   uint32_t NumRegs = 0;
   uint32_t FrameSize = 0;
@@ -189,8 +199,19 @@ struct DecodedFunction {
   bool HasBody = false;
 };
 
+/// One counting segment: slots [First, Last] of function Fn, Last being the
+/// closing instruction (in the unfused stream; a fused Cmp*Br or
+/// LoadIJmp/CopyJmp closes from the slot before it).
+struct DecodedSegment {
+  FuncId Fn = NoFunc;
+  uint32_t First = 0;
+  uint32_t Last = 0;
+};
+
 struct DecodedModule {
   std::vector<DecodedFunction> Funcs;
+  /// Every function's counting segments, indexed by segment id.
+  std::vector<DecodedSegment> Segments;
 };
 
 /// Lowers every function of \p M against the given layouts. \p Sink, when
@@ -198,7 +219,7 @@ struct DecodedModule {
 /// operations then carry pre-packed profile slots. \p Fuse controls the
 /// superinstruction pass: the fast path wants it, the JIT decodes unfused so
 /// its per-op templates (and the fast-path fallback frames) see only base
-/// ops — counting is identical either way by construction.
+/// ops. Segments, their flags and ids are the same either way.
 DecodedModule decodeModule(const Module &M, const GlobalLayout &GL,
                            const std::vector<FrameLayout> &Layouts,
                            const DenseProfileSink *Sink, bool Fuse = true);

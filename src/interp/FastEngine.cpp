@@ -1,11 +1,16 @@
 //===- interp/FastEngine.cpp - Pre-decoded fast-path engine ---------------===//
 //
-// The tight dispatch loop over the decoded instruction stream. Counting
-// order is the contract: it replicates the reference switch engine's step
-// prologue exactly (Total incremented and checked against the step limit
-// first, then ByOpcode/per-function/load/store counters, then the profile
-// attribution, then the operation) so every counter, profile, output byte,
-// fault message, and exit code is bit-identical across engines.
+// The tight dispatch loop over the decoded instruction stream. Every
+// counter, profile, output byte, fault message, and exit code must be
+// bit-identical to the reference switch engine's. Each step still runs the
+// exact Total increment, step-limit and 64K wall-deadline check (then the
+// profile attribution, then the operation), because those can fault at any
+// step. The per-opcode, load/store and per-function counts come instead
+// from one hit counter per counting segment (Decode.h): each closing
+// instruction bumps its segment's counter, runDecoded expands the hits
+// once after the run, and a fault inside a segment settles the executed
+// prefix of that segment through settleSegment, the routine the jit's
+// fault stubs share.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,19 +33,43 @@ using namespace rpcc;
 #endif
 #endif
 
-uint64_t Machine::runFast(FuncId Main) {
-  return Prof ? callDecoded<true>(Main, 0, 0) : callDecoded<false>(Main, 0, 0);
-}
-
-uint64_t Machine::runJit(FuncId Main) {
+uint64_t Machine::runDecoded(FuncId Main) {
   const uint64_t Ret =
       Prof ? callDecoded<true>(Main, 0, 0) : callDecoded<false>(Main, 0, 0);
-  // Native frames defer the global Figure 6/7 tallies into JitRT
-  // accumulators (nothing observes them mid-run and sums commute); merge
-  // them exactly once, fault or not, so the final counters are exact.
-  Counters.Loads += RT.LoadsAcc;
-  Counters.Stores += RT.StoresAcc;
+  // Nothing observes the counters mid-run and sums commute, so every
+  // completed segment is multiplied out exactly once, fault or not.
+  for (size_t S = 0; S != SegHits.size(); ++S) {
+    if (!SegHits[S])
+      continue;
+    const DecodedSegment &Seg = DM->Segments[S];
+    const DecodedFunction &DF = DM->Funcs[Seg.Fn];
+    for (uint32_t I = Seg.First; I <= Seg.Last; ++I)
+      countSlot(DF.Insts[I], Seg.Fn, SegHits[S]);
+  }
   return Ret;
+}
+
+void Machine::countSlot(const DecodedInst &DI, FuncId F, uint64_t N) {
+  FunctionCounters &FC = PerFunc[F];
+  Counters.ByOpcode[static_cast<size_t>(DI.Op)] += N;
+  FC.Total += N;
+  if (DI.Flags & DIFlagLoad) {
+    Counters.Loads += N;
+    FC.Loads += N;
+  }
+  if (DI.Flags & DIFlagStore) {
+    Counters.Stores += N;
+    FC.Stores += N;
+  }
+}
+
+void Machine::settleSegment(const DecodedFunction &DF, uint32_t At,
+                            bool Include) {
+  uint32_t First = At;
+  while (!(DF.Insts[First].Flags & DIFlagSegStart))
+    --First;
+  for (uint32_t I = First; I != At + Include; ++I)
+    countSlot(DF.Insts[I], DF.Id, 1);
 }
 
 uint64_t Machine::callDecodedDyn(FuncId FId, size_t ArgBase, size_t NArgs) {
@@ -118,7 +147,7 @@ uint64_t Machine::execJit(JitProgram::Entry E, const DecodedFunction &DF,
       Regs[DF.ParamRegs[I]] = Args[I];
   }
 
-  // Hand the live counters and arena bases to the native frame; the call
+  // Hand the step counter and arena bases to the native frame; the call
   // shims keep them fresh across nested calls, and the epilogue flushes
   // Total back even on faults.
   RT.TotalCell = Counters.Total;
@@ -165,114 +194,57 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
   const DecodedInst *const IP = DF.Insts.data();
   const uint32_t *const PS = DF.ProfSlots.data(); // empty unless Profiled
   (void)PS;
-  FunctionCounters &FC = PerFunc[DF.Id];
+  uint64_t *const Hits = SegHits.data();
   const uint64_t MaxSteps = Opts.MaxSteps;
-  const DecodedInst *DI;
-  size_t PC = 0;
+  const DecodedInst *DI = IP;
 
-  // The shared counters live in locals across the loop: the compiler cannot
-  // keep the members in registers itself, because the memory helpers called
-  // from handlers might alias them. Locals are flushed back at every exit
-  // and around calls (the callee bumps the same Total, and recursion reaches
-  // the same FunctionCounters), so observable state is always exact.
+  // Total lives in a local across the loop: the compiler cannot keep the
+  // member in a register itself, because the memory helpers called from
+  // handlers might alias it. It is flushed back at every exit and around
+  // calls (the callee bumps the same Total).
   uint64_t TotalLoc = Counters.Total;
-  uint64_t LoadsLoc = Counters.Loads, StoresLoc = Counters.Stores;
-  uint64_t FCTotalLoc = FC.Total;
-  uint64_t FCLoadsLoc = FC.Loads, FCStoresLoc = FC.Stores;
 
-#define RPCC_FLUSH_COUNTERS()                                                  \
+// Step prologue; mirrors the switch engine's Total/limit/deadline checks.
+// The step a limit or deadline fault stops is not counted, so LIMIT names
+// the exit that settles exactly the steps before it.
+#define RPCC_STEP_CHECK(LIMIT)                                                 \
   do {                                                                         \
-    Counters.Total = TotalLoc;                                                 \
-    Counters.Loads = LoadsLoc;                                                 \
-    Counters.Stores = StoresLoc;                                               \
-    FC.Total = FCTotalLoc;                                                     \
-    FC.Loads = FCLoadsLoc;                                                     \
-    FC.Stores = FCStoresLoc;                                                   \
+    if (++TotalLoc > MaxSteps) {                                               \
+      Err.raise("step limit exceeded (infinite loop?)");                       \
+      goto LIMIT;                                                              \
+    }                                                                          \
+    if ((TotalLoc & 0xFFFF) == 0 && checkWallDeadline())                       \
+      goto LIMIT;                                                              \
   } while (0)
-#define RPCC_RELOAD_COUNTERS()                                                 \
-  do {                                                                         \
-    TotalLoc = Counters.Total;                                                 \
-    LoadsLoc = Counters.Loads;                                                 \
-    StoresLoc = Counters.Stores;                                               \
-    FCTotalLoc = FC.Total;                                                     \
-    FCLoadsLoc = FC.Loads;                                                     \
-    FCStoresLoc = FC.Stores;                                                   \
-  } while (0)
-
-// Counting prologue of one step; mirrors the switch engine line for line.
-// The load/store tallies live in the memory handlers (which know their
-// opcode statically), keeping the common-path prologue to three counters.
 #define RPCC_STEP_PROLOGUE()                                                   \
   do {                                                                         \
-    if (++TotalLoc > MaxSteps) {                                               \
-      Err.raise("step limit exceeded (infinite loop?)");                       \
-      goto fast_done;                                                          \
-    }                                                                          \
-    if ((TotalLoc & 0xFFFF) == 0 && checkWallDeadline())                       \
-      goto fast_done;                                                          \
-    ++Counters.ByOpcode[static_cast<size_t>(DI->Op)];                          \
-    ++FCTotalLoc;                                                              \
+    RPCC_STEP_CHECK(fast_limit);                                               \
     if constexpr (Profiled)                                                    \
       if (DI->Flags & DIFlagMem)                                               \
-        profileDecoded(*DI, PS[PC], R);                                        \
+        profileDecoded(*DI, PS[DI - IP], R);                                   \
   } while (0)
 
-// Figure 7 / Figure 6 tallies; before the access, like the switch engine's
-// prologue, so a faulting access still counts.
-#define RPCC_TALLY_LOAD()                                                      \
-  do {                                                                         \
-    ++LoadsLoc;                                                                \
-    ++FCLoadsLoc;                                                              \
-  } while (0)
-#define RPCC_TALLY_STORE()                                                     \
-  do {                                                                         \
-    ++StoresLoc;                                                               \
-    ++FCStoresLoc;                                                             \
-  } while (0)
-
-// Counting prologue of the second operation of a fused pair. Fused second
-// ops are never profiled (mem-consuming fusions are disabled when a sink is
-// attached); the opcode is implied by the handler.
-#define RPCC_COUNT_STEP(OPC)                                                   \
-  do {                                                                         \
-    if (++TotalLoc > MaxSteps) {                                               \
-      Err.raise("step limit exceeded (infinite loop?)");                       \
-      goto fast_done;                                                          \
-    }                                                                          \
-    if ((TotalLoc & 0xFFFF) == 0 && checkWallDeadline())                       \
-      goto fast_done;                                                          \
-    ++Counters.ByOpcode[static_cast<size_t>(OPC)];                             \
-    ++FCTotalLoc;                                                              \
-  } while (0)
-
-// Same, for a fused second op that is a pointer load or store.
-#define RPCC_COUNT_STEP_LOAD(OPC)                                              \
-  do {                                                                         \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    RPCC_TALLY_LOAD();                                                         \
-  } while (0)
-#define RPCC_COUNT_STEP_STORE(OPC)                                             \
-  do {                                                                         \
-    RPCC_COUNT_STEP(OPC);                                                      \
-    RPCC_TALLY_STORE();                                                        \
-  } while (0)
+// Prologue of the second operation of a fused pair. A limit or deadline
+// fault here leaves the pair's first step, the slot at DI, as the last one
+// to count, which is what fast_fault settles. Fused second ops are never
+// profiled (mem-consuming fusions are disabled when a sink is attached).
+#define RPCC_SECOND_STEP() RPCC_STEP_CHECK(fast_fault)
 
 #if RPCC_INTERP_THREADED
 #define RPCC_DISPATCH()                                                        \
   do {                                                                         \
-    DI = IP + PC;                                                              \
     RPCC_STEP_PROLOGUE();                                                      \
     goto *DispatchTable[static_cast<size_t>(DI->D)];                           \
   } while (0)
 #define RPCC_CASE(name) Lbl_##name
 #define RPCC_NEXT()                                                            \
   do {                                                                         \
-    ++PC;                                                                      \
+    ++DI;                                                                      \
     RPCC_DISPATCH();                                                           \
   } while (0)
 #define RPCC_NEXT2()                                                           \
   do {                                                                         \
-    PC += 2;                                                                   \
+    DI += 2;                                                                   \
     RPCC_DISPATCH();                                                           \
   } while (0)
 #define RPCC_JUMP() RPCC_DISPATCH()
@@ -316,18 +288,17 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 #define RPCC_CASE(name) case DecodedOp::name
 #define RPCC_NEXT()                                                            \
   {                                                                            \
-    ++PC;                                                                      \
+    ++DI;                                                                      \
     break;                                                                     \
   }
 #define RPCC_NEXT2()                                                           \
   {                                                                            \
-    PC += 2;                                                                   \
+    DI += 2;                                                                   \
     break;                                                                     \
   }
 #define RPCC_JUMP() break
 
   for (;;) {
-    DI = IP + PC;
     RPCC_STEP_PROLOGUE();
     switch (DI->D) {
 #endif
@@ -346,7 +317,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     if (divFaults(N, D)) {
       Err.raise(D == 0 ? "integer division by zero"
                        : "integer division overflow (INT64_MIN / -1)");
-      goto fast_done;
+      goto fast_fault;
     }
     R[DI->Result] = static_cast<uint64_t>(sdiv(N, D));
     RPCC_NEXT();
@@ -355,7 +326,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     int64_t N = asI(R[DI->A]), D = asI(R[DI->B]);
     if (D == 0) {
       Err.raise("integer remainder by zero");
-      goto fast_done;
+      goto fast_fault;
     }
     R[DI->Result] = static_cast<uint64_t>(srem(N, D));
     RPCC_NEXT();
@@ -455,51 +426,49 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     R[DI->Result] = FrameBase + static_cast<uint64_t>(DI->Imm);
     RPCC_NEXT();
   RPCC_CASE(ScalarLoadAbs):
-    RPCC_TALLY_LOAD();
     R[DI->Result] = loadMem(static_cast<uint64_t>(DI->Imm), DI->MemTy);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
   RPCC_CASE(ScalarLoadFrame):
-    RPCC_TALLY_LOAD();
     R[DI->Result] =
         loadMem(FrameBase + static_cast<uint64_t>(DI->Imm), DI->MemTy);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
   RPCC_CASE(ScalarStoreAbs):
-    RPCC_TALLY_STORE();
     storeMem(static_cast<uint64_t>(DI->Imm), DI->MemTy, R[DI->A]);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
   RPCC_CASE(ScalarStoreFrame):
-    RPCC_TALLY_STORE();
     storeMem(FrameBase + static_cast<uint64_t>(DI->Imm), DI->MemTy, R[DI->A]);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
   RPCC_CASE(PtrLoad):
-    RPCC_TALLY_LOAD();
     R[DI->Result] = loadMem(R[DI->A], DI->MemTy);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
   RPCC_CASE(PtrStore):
-    RPCC_TALLY_STORE();
     storeMem(R[DI->A], DI->MemTy, R[DI->B]);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault;
     RPCC_NEXT();
+  // A call closes its segment before the callee runs, so a fault anywhere
+  // past this point (callee entry, builtin, target check) has nothing of
+  // this frame left to settle.
   RPCC_CASE(Call): {
+    ++Hits[DI->Imm];
     const size_t AB = ArgArena.size();
     const Reg *AR = DF.ArgPool.data() + DI->T1;
     const size_t N = DI->A;
     for (size_t I = 0; I != N; ++I)
       ArgArena.push_back(R[AR[I]]);
-    RPCC_FLUSH_COUNTERS();
+    Counters.Total = TotalLoc;
     const uint64_t V = callDecoded<Profiled>(DI->T0, AB, N);
-    RPCC_RELOAD_COUNTERS();
+    TotalLoc = Counters.Total;
     ArgArena.resize(AB);
     R = RegArena.data() + RegBase; // the callee may have grown the arena
     if (Err.Active)
@@ -509,6 +478,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     RPCC_NEXT();
   }
   RPCC_CASE(CallIndirect): {
+    ++Hits[DI->Imm];
     const uint64_t Target = R[DI->A];
     if (Target < InterpFuncBase ||
         (Target & ~InterpFuncBase) >= M.numFunctions()) {
@@ -520,10 +490,10 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     const size_t N = DI->T1;
     for (size_t I = 0; I != N; ++I)
       ArgArena.push_back(R[AR[I]]);
-    RPCC_FLUSH_COUNTERS();
+    Counters.Total = TotalLoc;
     const uint64_t V = callDecoded<Profiled>(
         static_cast<FuncId>(Target & ~InterpFuncBase), AB, N);
-    RPCC_RELOAD_COUNTERS();
+    TotalLoc = Counters.Total;
     ArgArena.resize(AB);
     R = RegArena.data() + RegBase;
     if (Err.Active)
@@ -533,19 +503,23 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     RPCC_NEXT();
   }
   RPCC_CASE(Br):
-    PC = R[DI->A] ? DI->T0 : DI->T1;
+    ++Hits[DI->Imm];
+    DI = IP + (R[DI->A] ? DI->T0 : DI->T1);
     RPCC_JUMP();
   RPCC_CASE(Jmp):
-    PC = DI->T0;
+    ++Hits[DI->Imm];
+    DI = IP + DI->T0;
     RPCC_JUMP();
   RPCC_CASE(RetVal):
+    ++Hits[DI->Imm];
     RetVal = R[DI->A];
     goto fast_done;
   RPCC_CASE(RetVoid):
+    ++Hits[DI->Imm];
     goto fast_done;
   RPCC_CASE(Fault):
     Err.raise(DF.FaultMsgs[static_cast<size_t>(DI->Imm)]);
-    goto fast_done;
+    goto fast_fault;
 
 // Fused compare-and-branch: the compare's result register is still written
 // (it may have other readers), then the Br is counted and taken directly.
@@ -553,8 +527,9 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
   do {                                                                         \
     const uint64_t C = (CMP);                                                  \
     R[DI->Result] = C;                                                         \
-    RPCC_COUNT_STEP(Opcode::Br);                                               \
-    PC = C ? DI->T0 : DI->T1;                                                  \
+    RPCC_SECOND_STEP();                                                        \
+    ++Hits[DI->Imm];                                                           \
+    DI = IP + (C ? DI->T0 : DI->T1);                                           \
   } while (0)
 
   RPCC_CASE(CmpEqBr):
@@ -597,30 +572,30 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 // Fused constant-load-and-consume: the constant's register is written first
 // (later readers and the both-operands case behave exactly as unfused),
 // then the consumer is counted and executed over the register file.
-#define RPCC_LOADI_THEN(OPC, EXPR)                                             \
+#define RPCC_LOADI_THEN(EXPR)                                                  \
   do {                                                                         \
     R[DI->T0] = static_cast<uint64_t>(DI->Imm);                                \
-    RPCC_COUNT_STEP(OPC);                                                      \
+    RPCC_SECOND_STEP();                                                        \
     R[DI->Result] = (EXPR);                                                    \
   } while (0)
 
   RPCC_CASE(LoadIAdd):
-    RPCC_LOADI_THEN(Opcode::Add, wrapAdd(R[DI->A], R[DI->B]));
+    RPCC_LOADI_THEN(wrapAdd(R[DI->A], R[DI->B]));
     RPCC_NEXT2();
   RPCC_CASE(LoadIMul):
-    RPCC_LOADI_THEN(Opcode::Mul, wrapMul(R[DI->A], R[DI->B]));
+    RPCC_LOADI_THEN(wrapMul(R[DI->A], R[DI->B]));
     RPCC_NEXT2();
   RPCC_CASE(LoadISub):
-    RPCC_LOADI_THEN(Opcode::Sub, wrapSub(R[DI->A], R[DI->B]));
+    RPCC_LOADI_THEN(wrapSub(R[DI->A], R[DI->B]));
     RPCC_NEXT2();
   RPCC_CASE(LoadICmpEq):
-    RPCC_LOADI_THEN(Opcode::CmpEq, uint64_t(R[DI->A] == R[DI->B]));
+    RPCC_LOADI_THEN(uint64_t(R[DI->A] == R[DI->B]));
     RPCC_NEXT2();
   RPCC_CASE(LoadICmpNe):
-    RPCC_LOADI_THEN(Opcode::CmpNe, uint64_t(R[DI->A] != R[DI->B]));
+    RPCC_LOADI_THEN(uint64_t(R[DI->A] != R[DI->B]));
     RPCC_NEXT2();
   RPCC_CASE(LoadICmpLt):
-    RPCC_LOADI_THEN(Opcode::CmpLt, uint64_t(asI(R[DI->A]) < asI(R[DI->B])));
+    RPCC_LOADI_THEN(uint64_t(asI(R[DI->A]) < asI(R[DI->B])));
     RPCC_NEXT2();
 
 // Fused address-arithmetic chain: first Add/Mul writes its register, then
@@ -629,7 +604,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 #define RPCC_BIN_THEN_ADD(EXPR)                                                \
   do {                                                                         \
     R[DI->T0] = (EXPR);                                                        \
-    RPCC_COUNT_STEP(Opcode::Add);                                              \
+    RPCC_SECOND_STEP();                                                        \
     R[DI->Result] = wrapAdd(R[DI->T1], R[DI->T0]);                             \
   } while (0)
 
@@ -642,66 +617,63 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 
 // Fused address-then-load: the Add's register is written before the load
 // so a faulting load leaves the same (unobservable) register state as the
-// unfused pair, then the pointer load is counted and executed.
-#define RPCC_ADD_THEN_LOAD(OPC)                                                \
-  do {                                                                         \
-    const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);                         \
-    R[DI->T0] = Addr;                                                          \
-    RPCC_COUNT_STEP_LOAD(OPC);                                                 \
-    R[DI->Result] = loadMem(Addr, DI->MemTy);                                  \
-    if (Err.Active)                                                            \
-      goto fast_done;                                                          \
-  } while (0)
-
+// unfused pair, then the pointer load is counted and executed; a fault
+// settles through the dead slot, counting both halves.
   RPCC_CASE(AddLoad):
-    RPCC_ADD_THEN_LOAD(Opcode::Load);
+  RPCC_CASE(AddConstLoad): {
+    const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);
+    R[DI->T0] = Addr;
+    RPCC_SECOND_STEP();
+    R[DI->Result] = loadMem(Addr, DI->MemTy);
+    if (Err.Active)
+      goto fast_fault2;
     RPCC_NEXT2();
-  RPCC_CASE(AddConstLoad):
-    RPCC_ADD_THEN_LOAD(Opcode::ConstLoad);
-    RPCC_NEXT2();
+  }
   RPCC_CASE(AddStore): {
     // As AddLoad, but the stored value rides in Result; it is read after
     // the address register is written, exactly as the unfused pair would.
     const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);
     R[DI->T0] = Addr;
-    RPCC_COUNT_STEP_STORE(Opcode::Store);
+    RPCC_SECOND_STEP();
     storeMem(Addr, DI->MemTy, R[DI->Result]);
     if (Err.Active)
-      goto fast_done;
+      goto fast_fault2;
     RPCC_NEXT2();
   }
 
 // Fused multiply-accumulate: the product's register is written first, then
 // the outer FAdd/FSub is counted and executed reading back through R, with
 // the operand order the variant recorded at decode time.
-#define RPCC_FMUL_THEN(OPC, EXPR)                                              \
+#define RPCC_FMUL_THEN(EXPR)                                                   \
   do {                                                                         \
     R[DI->T0] = fromF(asF(R[DI->A]) * asF(R[DI->B]));                          \
-    RPCC_COUNT_STEP(OPC);                                                      \
+    RPCC_SECOND_STEP();                                                        \
     R[DI->Result] = fromF(EXPR);                                               \
   } while (0)
 
   RPCC_CASE(FMulFAddA):
-    RPCC_FMUL_THEN(Opcode::FAdd, asF(R[DI->T0]) + asF(R[DI->T1]));
+    RPCC_FMUL_THEN(asF(R[DI->T0]) + asF(R[DI->T1]));
     RPCC_NEXT2();
   RPCC_CASE(FMulFAddB):
-    RPCC_FMUL_THEN(Opcode::FAdd, asF(R[DI->T1]) + asF(R[DI->T0]));
+    RPCC_FMUL_THEN(asF(R[DI->T1]) + asF(R[DI->T0]));
     RPCC_NEXT2();
   RPCC_CASE(FMulFSubA):
-    RPCC_FMUL_THEN(Opcode::FSub, asF(R[DI->T0]) - asF(R[DI->T1]));
+    RPCC_FMUL_THEN(asF(R[DI->T0]) - asF(R[DI->T1]));
     RPCC_NEXT2();
   RPCC_CASE(FMulFSubB):
-    RPCC_FMUL_THEN(Opcode::FSub, asF(R[DI->T1]) - asF(R[DI->T0]));
+    RPCC_FMUL_THEN(asF(R[DI->T1]) - asF(R[DI->T0]));
     RPCC_NEXT2();
   RPCC_CASE(LoadIJmp):
     R[DI->Result] = static_cast<uint64_t>(DI->Imm);
-    RPCC_COUNT_STEP(Opcode::Jmp);
-    PC = DI->T0;
+    RPCC_SECOND_STEP();
+    ++Hits[DI->B];
+    DI = IP + DI->T0;
     RPCC_JUMP();
   RPCC_CASE(CopyJmp):
     R[DI->Result] = R[DI->A];
-    RPCC_COUNT_STEP(Opcode::Jmp);
-    PC = DI->T0;
+    RPCC_SECOND_STEP();
+    ++Hits[DI->B];
+    DI = IP + DI->T0;
     RPCC_JUMP();
 
 #if !RPCC_INTERP_THREADED
@@ -712,22 +684,27 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
   }
 #endif
 
+// A fault inside a segment settles the executed prefix of the segment; the
+// step at DI counts when its prologue completed (memory, div/rem and Fault
+// faults), not when the step limit or the deadline stopped it. A memory
+// fault in the second half of a fused pair counts through the dead slot.
+fast_limit:
+  settleSegment(DF, static_cast<uint32_t>(DI - IP), false);
+  goto fast_done;
+fast_fault2:
+  ++DI;
+fast_fault:
+  settleSegment(DF, static_cast<uint32_t>(DI - IP), true);
 fast_done:
-  RPCC_FLUSH_COUNTERS();
+  Counters.Total = TotalLoc;
 
+#undef RPCC_STEP_CHECK
 #undef RPCC_STEP_PROLOGUE
-#undef RPCC_COUNT_STEP
-#undef RPCC_COUNT_STEP_LOAD
-#undef RPCC_COUNT_STEP_STORE
-#undef RPCC_TALLY_LOAD
-#undef RPCC_TALLY_STORE
+#undef RPCC_SECOND_STEP
 #undef RPCC_CMP_BR
 #undef RPCC_LOADI_THEN
 #undef RPCC_BIN_THEN_ADD
-#undef RPCC_ADD_THEN_LOAD
 #undef RPCC_FMUL_THEN
-#undef RPCC_FLUSH_COUNTERS
-#undef RPCC_RELOAD_COUNTERS
 #undef RPCC_CASE
 #undef RPCC_NEXT
 #undef RPCC_NEXT2

@@ -79,8 +79,8 @@ ExecResult Machine::run() {
 
   // Decode against the layout before its pieces move into machine state;
   // baked addresses and machine addresses come from the same computation.
-  // The jit decodes unfused: its templates cover exactly the base ops, and
-  // unfused streams keep its per-op counting prologue trivially exact.
+  // The jit decodes unfused: its templates cover exactly the base ops (it
+  // re-derives its own fused templates at emit time).
   DecodedModule Decoded;
   if (Opts.Engine != InterpEngine::Switch)
     Decoded = decodeModule(M, GL, Layouts, Prof ? &Sink : nullptr,
@@ -102,28 +102,29 @@ ExecResult Machine::run() {
     return R;
   }
   uint64_t Ret;
-  if (Opts.Engine == InterpEngine::Jit) {
-    DM = &Decoded;
-    // Functions compile lazily on first call; the (possibly cache-shared)
-    // program holds the published entries. Emitted code is relocatable —
-    // module-level bases reach it through the JitRT cells below, set once
-    // here because none of them can move during the run (ByOpcode and
-    // PerFunc are sized already, GlobalMem never grows).
-    JP = jitProgramFor(Decoded, GlobalMem.size(), Prof != nullptr,
-                       Opts.JitCodeCache);
-    initJitRuntime(RT, this);
-    RT.MaxSteps = Opts.MaxSteps;
-    RT.ByOpcodeBase = Counters.ByOpcode.data();
-    RT.PerFuncBase = PerFunc.data();
-    RT.GlobalData = GlobalMem.data();
-    Ret = runJit(Main);
-    recordJitRun(JitCompileUs);
-    R.JitCompileMs = static_cast<double>(JitCompileUs) / 1000.0;
-  } else if (Opts.Engine == InterpEngine::FastPath) {
-    DM = &Decoded;
-    Ret = runFast(Main);
-  } else {
+  if (Opts.Engine == InterpEngine::Switch) {
     Ret = callFunction(Main, {});
+  } else {
+    DM = &Decoded;
+    SegHits.assign(Decoded.Segments.size(), 0);
+    if (Opts.Engine == InterpEngine::Jit) {
+      // Functions compile lazily on first call; the (possibly cache-shared)
+      // program holds the published entries. Emitted code is relocatable —
+      // module-level bases reach it through the JitRT cells below, set once
+      // here because none of them can move during the run (SegHits is
+      // sized already, GlobalMem never grows).
+      JP = jitProgramFor(Decoded, GlobalMem.size(), Prof != nullptr,
+                         Opts.JitCodeCache);
+      initJitRuntime(RT, this);
+      RT.MaxSteps = Opts.MaxSteps;
+      RT.SegHits = SegHits.data();
+      RT.GlobalData = GlobalMem.data();
+    }
+    Ret = runDecoded(Main);
+    if (Opts.Engine == InterpEngine::Jit) {
+      recordJitRun(JitCompileUs);
+      R.JitCompileMs = static_cast<double>(JitCompileUs) / 1000.0;
+    }
   }
   R.Counters = Counters;
   R.PerFunction = std::move(PerFunc);

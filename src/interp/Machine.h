@@ -66,7 +66,9 @@ private:
   uint64_t executeBody(const Function &F, const std::vector<uint64_t> &Args);
 
   // -- Pre-decoded fast path (FastEngine.cpp) ---------------------------------
-  uint64_t runFast(FuncId Main);
+  /// Runs main on the decoded module (the fast path, or the jit when JP is
+  /// set), then expands the segment hits into the counters.
+  uint64_t runDecoded(FuncId Main);
   template <bool Profiled>
   uint64_t callDecoded(FuncId FId, size_t ArgBase, size_t NArgs);
   template <bool Profiled>
@@ -74,11 +76,15 @@ private:
                        size_t NArgs);
   void profileDecoded(const DecodedInst &DI, uint32_t BaseSlot,
                       const uint64_t *Regs);
+  /// Adds \p N executions of slot \p DI of function \p F to the counters.
+  void countSlot(const DecodedInst &DI, FuncId F, uint64_t N);
+  /// The settle routine both fast engines share: counts the executed
+  /// prefix of the segment a fault cut, from its first slot up to slot
+  /// \p At, including \p At itself when \p Include (the faulting step was
+  /// counted by the reference engine's prologue).
+  void settleSegment(const DecodedFunction &DF, uint32_t At, bool Include);
 
   // -- Native JIT engine (FastEngine.cpp frame shim + src/jit) ----------------
-  /// Top-level jit entry: dispatches main, then merges the deferred
-  /// load/store accumulators into the counters.
-  uint64_t runJit(FuncId Main);
   /// Frame setup/teardown around one native activation; the exact mirror of
   /// execDecoded so budgets, profiling frames, and arena discipline match.
   template <bool Profiled>
@@ -154,10 +160,12 @@ private:
   std::vector<std::pair<uint64_t, FuncId>> FrameStack;
   DenseProfileSink Sink;
 
-  /// Fast path only: the decoded program plus frame-free register/argument
-  /// arenas (grown and shrunk per call, never hashed).
+  /// Fast engines only: the decoded program plus frame-free register/argument
+  /// arenas (grown and shrunk per call, never hashed), and one hit counter
+  /// per counting segment (sized before execution, never resized).
   const DecodedModule *DM = nullptr;
   std::vector<uint64_t> RegArena, ArgArena;
+  std::vector<uint64_t> SegHits;
 
   /// Jit engine only: the (possibly cache-shared) compiled program — null
   /// entries compile lazily on first call, declines fall back to the fast

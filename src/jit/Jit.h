@@ -24,20 +24,21 @@
 ///  * Superinstruction templates emitted directly from the unfused stream
 ///    (compare+branch flag reuse, LoadI folding, FMul+FAdd/FSub), counting
 ///    both constituent steps exactly like the fast path's fused handlers.
-///  * Deferred counter accumulation: ByOpcode and the load/store tallies
-///    are added as static per-block totals at block exits instead of
-///    per-step read-modify-writes; fault paths reconstruct the partial
-///    block's counts at the precise step index through a flush shim.
+///  * Segment counting: each counting segment's closing instruction runs
+///    one `inc` of the segment's hit counter, the same counters the fast
+///    path bumps and Machine expands once after the run; fault paths
+///    settle the cut segment through the shared settle routine at the
+///    precise step index.
 ///  * Per-function lazy compilation plus a process-wide code cache keyed on
 ///    the decoded stream, so tiny programs and repeated suite/fuzz runs
 ///    stop paying emission cost.
 ///
 /// Counting-exactness is the design constraint: the step counter lives in a
 /// pinned register flushed at the same points the fast path flushes its
-/// locals, the global load/store tallies accumulate in JitRT cells merged
-/// once at the end of the run, and budgets (MaxSteps, MaxFrameBytes,
-/// WallDeadlineMs) are checked at the identical program points, so the
-/// budget-parity tests hold including Counters.Total.
+/// local, segment hits land in the Machine's own counters, and budgets
+/// (MaxSteps, MaxFrameBytes, WallDeadlineMs) are checked at the identical
+/// program points, so the budget-parity tests hold including
+/// Counters.Total.
 ///
 /// Functions the emitter declines (an operation outside the template set,
 /// out-of-range displacements) simply get no native entry and run on the
@@ -78,8 +79,8 @@ class Machine;
 ///
 /// Since the same machine code can be executed by many Machine instances
 /// (the code cache shares compiled programs), emitted code never bakes a
-/// per-Machine pointer: the counter arrays, the global image, and the heap
-/// and stack segments are all reached through cells here.
+/// per-Machine pointer: the segment hit counters, the global image, and the
+/// heap and stack segments are all reached through cells here.
 struct JitRT {
   /// Counters.Total while native frames are live. Emitted code keeps it in
   /// r12 and flushes here around calls and exits, exactly where the fast
@@ -87,10 +88,6 @@ struct JitRT {
   uint64_t TotalCell = 0;
   /// InterpOptions::MaxSteps, compared against r12 every step.
   uint64_t MaxSteps = 0;
-  /// Global Figure 6/7 tallies deferred by the native code; Machine::runJit
-  /// merges them into Counters.Loads/Stores once at the end of the run.
-  uint64_t LoadsAcc = 0;
-  uint64_t StoresAcc = 0;
   /// RegArena.data(), refreshed by the call shims after any callee growth;
   /// emitted code rebases its frame pointer from it after every call.
   uint64_t *RegArenaData = nullptr;
@@ -100,10 +97,9 @@ struct JitRT {
   /// Mirror of InterpFault::Active (0/1), updated by every shim that can
   /// unwind with a fault; emitted code tests it after calls.
   uint64_t FaultCell = 0;
-  /// &Counters.ByOpcode[0] and PerFunc.data() of the running Machine;
-  /// stable for the whole run (both are sized before execution starts).
-  uint64_t *ByOpcodeBase = nullptr;
-  FunctionCounters *PerFuncBase = nullptr;
+  /// Machine::SegHits.data(), indexed by segment id; stable for the whole
+  /// run (sized before execution starts). Pinned in r14.
+  uint64_t *SegHits = nullptr;
   /// The global image: base pointer only — its size is baked into code as
   /// an immediate (it is part of the code-cache key and never changes
   /// after layout).
@@ -114,12 +110,12 @@ struct JitRT {
   uint64_t HeapSize = 0;
   /// StackMem.size(); grows/shrinks only across calls, same refresh.
   uint64_t StackSize = 0;
-  /// Deferred-counter segment state: r12 snapshot at the current counting
-  /// segment's entry and the segment's first instruction index. Fault
-  /// paths hand (r12 - BlockSnap [- 1]) to the flush shim, which walks the
-  /// decoded stream from BlockFirst reconstructing the partial ByOpcode
-  /// and load/store counts. Written by emitted code with 32-bit stores
-  /// (BlockFirst/CurFn), so they must start zeroed — default init does.
+  /// Current counting segment: r12 snapshot at its entry and its first
+  /// instruction index. Fault paths hand (r12 - BlockSnap [- 1]), the
+  /// number of its steps to count, to the flush shim, which settles them
+  /// through the shared settle routine. Written by emitted code with 32-bit
+  /// stores (BlockFirst/CurFn), so they must start zeroed — default init
+  /// does.
   uint64_t BlockSnap = 0;
   uint64_t BlockFirst = 0;
   /// FuncId of the innermost native frame, maintained by prologues and

@@ -81,7 +81,7 @@ std::pair<uint64_t, uint64_t> keyOf(const DecodedModule &DM,
   // Version salt: bump when emission changes so stale processes (none today
   // — the cache is in-process — but the salt also separates this emitter
   // generation in any future on-disk variant) never mix streams.
-  H.u64(0x52504A4954'0002ull); // "RPJIT" v2
+  H.u64(0x52504A4954'0003ull); // "RPJIT" v3
   H.u64(GlobalSize);
   H.u64(Profiled);
   H.u64(DM.Funcs.size());

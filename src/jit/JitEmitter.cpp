@@ -3,16 +3,15 @@
 // Lowers decoded (unfused) instruction streams to native code. On top of the
 // baseline templates this tier performs block-local host register residency
 // (JitRegAlloc.h), superinstruction fusion re-derived from the unfused
-// stream, deferred counter accumulation, and relocatable code emission so
-// compiled functions can be shared through the code cache.
+// stream, segment counting, and relocatable code emission so compiled
+// functions can be shared through the code cache.
 //
 // Register convention inside a compiled function:
 //   callee-saved pins (live across shim calls):
-//     r15  JitRT*                     rbx  &RegArena[RegBase] (the frame's R)
+//     r15  JitRT* (cells, shims)      rbx  &RegArena[RegBase] (the frame's R)
 //     r12  Counters.Total             r13  StackMem.data() + FrameOff
-//     rbp  &PerFunc[fid]              r14  &Counters.ByOpcode[0]
+//     r14  &SegHits[0]                rbp  unused (not saved)
 //     [rsp]    RegBase                [rsp+8]  FrameOff
-//     [rsp+16] FC.Total delta base (per-function share = r12 - this)
 //   caller-saved:
 //     rax/rcx/rdx, xmm0/xmm1          template scratch
 //     rsi/rdi/r8-r11                  block-residency pool (JitRegAlloc);
@@ -20,27 +19,30 @@
 //                                     every C call out of the template body
 // rbx/r13 are rebased from JitRT after every call (the arenas may have
 // reallocated); r12 is flushed to JitRT::TotalCell around calls and exits,
-// mirroring the fast path's RPCC_FLUSH/RELOAD_COUNTERS discipline exactly.
+// exactly where the fast path flushes its Total local.
 //
 // Counting. Each step still runs the bounded prologue (Total++ against
-// MaxSteps, the 64K wall-deadline poll) because those can fault, but the
-// ByOpcode / per-function / load/store tallies are DEFERRED: a counting
-// segment (a basic block, split at calls) records its entry Total and first
-// instruction index in JitRT cells, a static per-segment count table is
-// added at the segment's exits, and every fault path reconstructs the
-// partial segment's counts by walking the decoded stream through the flush
-// shim — at the precise step index the fast path would have counted to.
-// Fault taxonomy: shim faults (memory, div/rem, decode-time Fault records)
-// are "prologue-complete" — the faulting instruction is fully counted, like
-// both interpreters count it; step-limit and deadline faults exclude the
-// faulting step (the interpreters raise before the ByOpcode bump).
+// MaxSteps, the 64K wall-deadline poll) because those can fault. Everything
+// else is counted per counting segment (Decode.h): the segment's closing
+// instruction runs one `inc qword [r14 + id*8]` on the hit counter the fast
+// path shares, and Machine expands the hits after the run. A segment records
+// its entry Total and first instruction index in JitRT cells, so a fault
+// path can hand the number of steps it ran to the flush shim, which settles
+// them through the settle routine the fast path uses — at the precise step
+// index the fast path would have counted to. Fault taxonomy: shim faults
+// (memory, div/rem, decode-time Fault records) are "prologue-complete" —
+// the faulting instruction is fully counted, like both interpreters count
+// it; step-limit and deadline faults exclude the faulting step (the
+// interpreters raise before counting it). A fault raised by a callee leaves
+// nothing to settle: the call closed its segment before the shim ran.
 //
-// Relocation. Emitted code bakes no per-Machine pointers: counter arrays,
+// Relocation. Emitted code bakes no per-Machine pointers: the hit counters,
 // the global image, and heap/stack segments are reached through JitRT
 // cells, and DecodedFunction-relative operands (argument pools, fault
 // messages) are passed to the shims as offsets resolved via JitRT::CurFn.
-// What IS baked — immediates, profile slots, frame offsets, the global
-// image size, the function id — is covered by the code-cache key.
+// What IS baked — immediates, profile slots, frame offsets, segment ids,
+// the global image size, the function id — is covered by the code-cache
+// key.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,10 +97,6 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
 
 static_assert(std::is_standard_layout_v<JitRT>,
               "emitted code addresses JitRT by offsetof");
-static_assert(sizeof(FunctionCounters) == 24 &&
-                  offsetof(FunctionCounters, Loads) == 8 &&
-                  offsetof(FunctionCounters, Stores) == 16,
-              "emitted code addresses FunctionCounters by fixed offsets");
 
 namespace {
 
@@ -231,15 +229,6 @@ public:
   void incM(uint8_t Base, int32_t D) {
     rex(1, 0, Base); b(0xFF); mem(0, Base, D);
   }
-  /// add qword [base+disp], imm.
-  void addMI(uint8_t Base, int32_t D, int32_t Imm) {
-    rex(1, 0, Base);
-    if (Imm >= -128 && Imm <= 127) {
-      b(0x83); mem(0, Base, D); b(static_cast<uint8_t>(Imm));
-    } else {
-      b(0x81); mem(0, Base, D); d32(static_cast<uint32_t>(Imm));
-    }
-  }
   void decR(uint8_t R) { rex(1, 0, R); b(0xFF); modrmRR(1, R); }
   void leaRM(uint8_t R, uint8_t Base, int32_t D) {
     rex(1, R, Base); b(0x8D); mem(R, Base, D);
@@ -307,13 +296,10 @@ enum : uint32_t {
 
 constexpr int32_t OffTotal = offsetof(JitRT, TotalCell);
 constexpr int32_t OffMaxSteps = offsetof(JitRT, MaxSteps);
-constexpr int32_t OffLoadsAcc = offsetof(JitRT, LoadsAcc);
-constexpr int32_t OffStoresAcc = offsetof(JitRT, StoresAcc);
 constexpr int32_t OffRegArena = offsetof(JitRT, RegArenaData);
 constexpr int32_t OffStackData = offsetof(JitRT, StackData);
 constexpr int32_t OffFault = offsetof(JitRT, FaultCell);
-constexpr int32_t OffByOpBase = offsetof(JitRT, ByOpcodeBase);
-constexpr int32_t OffPerFnBase = offsetof(JitRT, PerFuncBase);
+constexpr int32_t OffSegHits = offsetof(JitRT, SegHits);
 constexpr int32_t OffGlobalData = offsetof(JitRT, GlobalData);
 constexpr int32_t OffHeapData = offsetof(JitRT, HeapData);
 constexpr int32_t OffHeapSize = offsetof(JitRT, HeapSize);
@@ -458,19 +444,24 @@ private:
         A.movMR(RBX, regOff(Cur->Slots[S].R), PoolReg[S]);
   }
 
-  // -- Deferred-counter helpers -----------------------------------------------
+  // -- Segment-counting helpers -----------------------------------------------
   void segEnter(uint32_t First) {
     A.movMR(R15, OffBlockSnap, R12);
     A.movMI32(R15, OffBlockFirst, First);
-    SegFirst = First;
   }
-  /// Static count table for the closed segment [SegFirst, LastIncl],
-  /// added to ByOpcode / the load-store accumulators in one burst.
-  /// Clobbers flags; terminators emit it before their compare.
-  void segFlush(uint32_t LastIncl);
+  /// Counts one hit of the segment closed by instruction \p Closer, whose
+  /// Imm is the segment id. Clobbers flags; terminators emit it before
+  /// their compare.
+  void segFlush(uint32_t Closer) {
+    const int64_t Id = DF.Insts[Closer].Imm;
+    if (Id > INT32_MAX / 8) {
+      IdOverflow = true; // the displacement cannot encode it: decline
+      return;
+    }
+    A.incM(R14, static_cast<int32_t>(Id * 8));
+  }
 
   void emitStepPrologue(const DecodedInst &DI, uint32_t I);
-  void emitFcFlush(uint8_t Scratch);
   void emitPostCall(Reg Result, uint32_t I);
   /// Cold-path shim call for a pointer/scalar memory access; the simulated
   /// address must be in RSI already and residency written back.
@@ -503,13 +494,11 @@ private:
   std::vector<Fixup> Fixups;
   std::vector<uint8_t> IsBlockStart;
   std::vector<uint8_t> ThunkNeeded;
-  // Scratch for segFlush's per-opcode table.
-  std::vector<uint32_t> OpCount;
-  std::vector<uint16_t> OpTouched;
 
   const BlockRegMap *Cur = nullptr;
-  uint32_t CurBlock = 0, CurStart = 0, SegFirst = 0;
+  uint32_t CurBlock = 0, CurStart = 0;
   size_t NFused = 0;
+  bool IdOverflow = false;
 };
 
 void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
@@ -521,8 +510,8 @@ void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
   A.b(0x66); A.b(0x45); A.b(0x85); A.b(0xE4);
   A.b(0x75); A.b(0x05);
   callTo(stub(StubDeadline));
-  // No per-step ByOpcode/tally RMW here — see the deferred-counter scheme
-  // in the file header. The profile shim still runs per memory step (the
+  // Nothing else is counted per step — see the segment counting in the
+  // file header. The profile shim still runs per memory step (the
   // sink's per-step attribution cannot be deferred); profiling disables
   // residency, so the clobbered pool is empty.
   if (Profiled && (DI.Flags & DIFlagMem)) {
@@ -538,79 +527,23 @@ void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
   }
 }
 
-void FunctionEmitter::segFlush(uint32_t LastIncl) {
-  uint32_t Loads = 0, Stores = 0;
-  for (uint32_t I = SegFirst; I <= LastIncl; ++I) {
-    const DecodedInst &DI = DF.Insts[I];
-    const uint16_t Op = static_cast<uint16_t>(DI.Op);
-    if (OpCount[Op]++ == 0)
-      OpTouched.push_back(Op);
-    if (DI.Flags & DIFlagLoad)
-      ++Loads;
-    else if (DI.Flags & DIFlagStore)
-      ++Stores;
-  }
-  A.ensure(OpTouched.size() * 12 + 64);
-  for (uint16_t Op : OpTouched) {
-    const int32_t Off = static_cast<int32_t>(Op) * 8;
-    if (OpCount[Op] == 1)
-      A.incM(R14, Off);
-    else
-      A.addMI(R14, Off, static_cast<int32_t>(OpCount[Op]));
-    OpCount[Op] = 0;
-  }
-  OpTouched.clear();
-  if (Loads) {
-    if (Loads == 1) {
-      A.incM(R15, OffLoadsAcc);
-      A.incM(RBP, 8);
-    } else {
-      A.addMI(R15, OffLoadsAcc, static_cast<int32_t>(Loads));
-      A.addMI(RBP, 8, static_cast<int32_t>(Loads));
-    }
-  }
-  if (Stores) {
-    if (Stores == 1) {
-      A.incM(R15, OffStoresAcc);
-      A.incM(RBP, 16);
-    } else {
-      A.addMI(R15, OffStoresAcc, static_cast<int32_t>(Stores));
-      A.addMI(RBP, 16, static_cast<int32_t>(Stores));
-    }
-  }
-}
-
-/// PerFunc[fid].Total += r12 - [rsp+16] through \p Scratch, without
-/// re-snapshotting the base (call sites either re-snapshot after reloading
-/// r12 or are about to return).
-void FunctionEmitter::emitFcFlush(uint8_t Scratch) {
-  A.movRR(Scratch, R12);
-  A.aluRM(0x2B, Scratch, RSP, 16); // sub scratch, [rsp+16]
-  // add [rbp], scratch
-  A.rex(true, Scratch, RBP); A.b(0x01); A.mem(Scratch, RBP, 0);
-}
-
 /// After a call shim returns: reload Total, rebase the register-file and
-/// host-frame pointers (the callee may have grown either arena), open the
-/// post-call counting segment, restore CurFn (the callee overwrote it),
-/// check the fault mirror, re-establish residency, store the result.
+/// host-frame pointers (the callee may have grown either arena), check the
+/// fault mirror, restore CurFn (the callee overwrote it), open the
+/// post-call counting segment, re-establish residency, store the result.
 void FunctionEmitter::emitPostCall(Reg Result, uint32_t I) {
   A.movRM(R12, R15, OffTotal);
-  A.movMR(RSP, 16, R12); // restart the FC.Total delta
   A.movRM(RBX, R15, OffRegArena);
   A.movRM(RCX, RSP, 0); // RegBase
   A.b(0x48); A.b(0x8D); A.b(0x1C); A.b(0xCB); // lea rbx, [rbx+rcx*8]
   A.movRM(R13, R15, OffStackData);
   A.aluRM(0x03, R13, RSP, 8); // add r13, [rsp+8] (FrameOff)
-  // Open the resumption segment BEFORE the fault check: the fault path
-  // computes its flush count from BlockSnap, which still holds the
-  // callee's value until here (count is then r12 - r12 = 0 — the call
-  // instruction itself was already statically flushed before the shim).
-  segEnter(I + 1);
-  A.movMI32(R15, OffCurFn, DF.Id);
-  // cmp qword [r15+FaultCell], 0 ; jnz StubFaultP
+  // cmp qword [r15+FaultCell], 0 ; jnz StubFault. Nothing to settle: the
+  // call closed its segment before the shim ran.
   A.b(0x49); A.b(0x83); A.mem(7, R15, OffFault); A.b(0x00);
-  jccTo(0x5, stub(StubFaultP));
+  jccTo(0x5, stub(StubFault));
+  A.movMI32(R15, OffCurFn, DF.Id);
+  segEnter(I + 1);
   reloadAll();
   if (Result != NoReg)
     storeFromGP(Result, RAX);
@@ -1168,7 +1101,6 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
   case DecodedOp::Call:
     segFlush(I); // the call step itself counts before the callee runs
     A.movMR(R15, OffTotal, R12);
-    emitFcFlush(RAX);
     writeback();
     A.movRI32(RSI, DI.T0); // callee FuncId
     A.movRI32(RDX, DI.T1); // ArgPool offset, resolved via CurFn by the shim
@@ -1181,7 +1113,6 @@ uint32_t FunctionEmitter::emitInst(uint32_t I) {
   case DecodedOp::CallIndirect:
     segFlush(I);
     A.movMR(R15, OffTotal, R12);
-    emitFcFlush(RAX);
     writeback();
     loadGP(RSI, DI.A);     // target value, validated by the shim
     A.movRI32(RDX, DI.T0); // ArgPool offset
@@ -1250,8 +1181,6 @@ bool FunctionEmitter::emit() {
     IsBlockStart[S] = 1;
   }
   ThunkNeeded.assign(NB, 0);
-  OpCount.assign(static_cast<size_t>(NumOpcodes), 0);
-  OpTouched.clear();
   Fixups.clear();
   A.ensure(512);
 
@@ -1259,26 +1188,21 @@ bool FunctionEmitter::emit() {
   // module-level bases come from JitRT cells so the code stays relocatable
   // across Machines (code-cache sharing).
   A.b(0x53);             // push rbx
-  A.b(0x55);             // push rbp
   A.b(0x41); A.b(0x54);  // push r12
   A.b(0x41); A.b(0x55);  // push r13
   A.b(0x41); A.b(0x56);  // push r14
   A.b(0x41); A.b(0x57);  // push r15
-  A.b(0x48); A.b(0x83); A.b(0xEC); A.b(24); // sub rsp, 24
+  A.b(0x48); A.b(0x83); A.b(0xEC); A.b(16); // sub rsp, 16 (keeps alignment)
   A.movRR(R15, RDI);
   A.movMR(RSP, 0, RSI); // RegBase
   A.movMR(RSP, 8, RDX); // FrameOff
-  A.movRM(R14, R15, OffByOpBase);
-  A.movRM(RBP, R15, OffPerFnBase);
-  if (DF.Id != 0)
-    A.aluRI(0, RBP, static_cast<int32_t>(DF.Id * sizeof(FunctionCounters)));
+  A.movRM(R14, R15, OffSegHits);
   A.movMI32(R15, OffCurFn, DF.Id);
   A.movRM(RBX, R15, OffRegArena);
   A.b(0x48); A.b(0x8D); A.b(0x1C); A.b(0xF3); // lea rbx, [rbx+rsi*8]
   A.movRM(R13, R15, OffStackData);
   A.b(0x49); A.b(0x01); A.b(0xD5); // add r13, rdx
   A.movRM(R12, R15, OffTotal);
-  A.movMR(RSP, 16, R12); // FC.Total delta base (see emitFcFlush)
 
   uint32_t NextBlock = 0;
   for (uint32_t I = 0; I != N;) {
@@ -1318,15 +1242,13 @@ bool FunctionEmitter::emit() {
   A.ensure(512); // the stubs
 
   // Step-limit: raise through the shim, then settle the partial segment
-  // excluding the overflowing step (the interpreters raise before the
-  // ByOpcode bump) — which is also why the delta base is bumped to keep it
-  // out of the per-function total.
+  // excluding the overflowing step (the interpreters raise before counting
+  // it).
   label(stub(StubStep));
   A.movRR(RDI, R15);
   A.callM(R15, offsetof(JitRT, HelpStepLimit));
   // fall through
   label(stub(StubFaultLimit));
-  A.incM(RSP, 16);
   A.movRR(RSI, R12);
   A.aluRM(0x2B, RSI, R15, OffBlockSnap);
   A.decR(RSI); // exclude the faulting step from the flush walk
@@ -1360,13 +1282,13 @@ bool FunctionEmitter::emit() {
   A.b(0xC3);
   bindFwd(ToDeadFault);
   // Drop the saved pool and the return address (48 + 8), landing back at
-  // the body's stack level where [rsp+16] is the delta slot again; the
-  // deadline-striking step is excluded exactly like the step-limit one.
+  // the body's stack level; the deadline-striking step is excluded exactly
+  // like the step-limit one.
   A.b(0x48); A.b(0x83); A.b(0xC4); A.b(56); // add rsp, 56
   jmpTo(stub(StubFaultLimit));
 
-  // Prologue-complete faults (memory, div/rem, Fault records, post-call):
-  // the faulting step is fully counted, so no decrement.
+  // Prologue-complete faults (memory, div/rem, Fault records): the
+  // faulting step is fully counted, so no decrement.
   label(stub(StubFaultP));
   A.movRR(RSI, R12);
   A.aluRM(0x2B, RSI, R15, OffBlockSnap);
@@ -1378,16 +1300,16 @@ bool FunctionEmitter::emit() {
   label(stub(StubFault));
   A.b(0x31); A.b(0xC0); // xor eax, eax
   label(stub(StubEpi));
-  A.movMR(R15, OffTotal, R12);
-  emitFcFlush(RCX); // rax carries the return value
-  A.b(0x48); A.b(0x83); A.b(0xC4); A.b(24); // add rsp, 24
+  A.movMR(R15, OffTotal, R12); // rax carries the return value
+  A.b(0x48); A.b(0x83); A.b(0xC4); A.b(16); // add rsp, 16
   A.b(0x41); A.b(0x5F); // pop r15
   A.b(0x41); A.b(0x5E); // pop r14
   A.b(0x41); A.b(0x5D); // pop r13
   A.b(0x41); A.b(0x5C); // pop r12
-  A.b(0x5D);            // pop rbp
   A.b(0x5B);            // pop rbx
   A.b(0xC3);
+  if (IdOverflow)
+    return false;
 
   for (const Fixup &F : Fixups) {
     int64_t Rel = static_cast<int64_t>(LabelOff[F.Label]) -
@@ -1461,8 +1383,8 @@ JitProgram::Entry JitProgram::compile(const DecodedFunction &DF,
 
   // Residency is disabled under profiling: the per-step profile shim would
   // force a writeback/reload at nearly every memory step, costing more
-  // than the residency saves. Profiled runs keep fusion and deferred
-  // counters.
+  // than the residency saves. Profiled runs keep fusion and segment
+  // counting.
   RegAllocResult RA;
   if (Profiled)
     RA.Blocks.resize(DF.BlockStarts.size());

@@ -2,12 +2,13 @@
 //
 // Everything with observable semantics goes through here: memory access,
 // div/rem guards, fpToIntSat, calls, profiling, budget faults, and the
-// deferred-counter flush walk. Each shim is a thin extern "C" wrapper over
-// the exact Machine service both interpreter engines use, so fault messages
-// and counting stay byte-identical by construction. The call shims are also
-// where the counter hand-off happens: Counters.Total crosses from
-// JitRT::TotalCell into the Machine before the callee runs and back after,
-// mirroring the fast path's flush/reload pair around calls.
+// settle of a counting segment cut by a fault. Each shim is a thin
+// extern "C" wrapper over the exact Machine service both interpreter
+// engines use, so fault messages and counting stay byte-identical by
+// construction. The call shims are also where the counter hand-off
+// happens: Counters.Total crosses from JitRT::TotalCell into the Machine
+// before the callee runs and back after, mirroring the fast path's
+// flush/reload pair around calls.
 //
 // Because compiled code is shared across Machines through the code cache,
 // the shims take DecodedFunction-relative operands (argument-pool offsets,
@@ -54,6 +55,9 @@ struct JitBridge {
     return M.checkFrameBudget(FrameSize);
   }
   static bool deadline(Machine &M) { return M.checkWallDeadline(); }
+  static void settle(Machine &M, FuncId F, uint32_t At) {
+    M.settleSegment(M.DM->Funcs[F], At, /*Include=*/true);
+  }
   static void profile(Machine &M, size_t Slot, uint64_t Flags, uint64_t Addr) {
     if (Flags & DIFlagPtrProf) {
       TagId T = M.resolveAddress(Addr);
@@ -270,30 +274,17 @@ extern "C" void rpccJitProfile(JitRT *RT, uint64_t Slot, uint64_t Flags,
   JitBridge::profile(*RT->M, static_cast<size_t>(Slot), Flags, Addr);
 }
 
-/// Settles the deferred counters of a partial counting segment when a fault
-/// unwinds mid-block: replays what the closed-segment static tables would
-/// have added for the \p Count steps starting at JitRT::BlockFirst of the
-/// current function. The faulting step's inclusion is the caller's business
-/// (the emitted fault stubs pass Total - BlockSnap for prologue-complete
-/// faults and one less for limit faults), which is what keeps ByOpcode and
-/// the Figure 6/7 tallies step-exact across all fault kinds. Total itself
-/// is not touched here — r12 stays authoritative until the epilogue.
+/// Settles the counting segment a fault cut: counts its first \p Count
+/// steps from JitRT::BlockFirst of the current function. The faulting
+/// step's inclusion is the caller's business (the emitted fault stubs pass
+/// Total - BlockSnap for prologue-complete faults and one less for limit
+/// faults), which is what keeps ByOpcode and the Figure 6/7 tallies
+/// step-exact across all fault kinds. Total itself is not touched here —
+/// r12 stays authoritative until the epilogue.
 extern "C" void rpccJitFlushCounters(JitRT *RT, uint64_t Count) {
-  const Machine &M = *RT->M;
-  const DecodedFunction &DF = JitBridge::dm(M).Funcs[RT->CurFn];
-  FunctionCounters &FC = RT->PerFuncBase[RT->CurFn];
-  const uint64_t First = RT->BlockFirst;
-  for (uint64_t I = 0; I != Count; ++I) {
-    const DecodedInst &DI = DF.Insts[First + I];
-    ++RT->ByOpcodeBase[static_cast<size_t>(DI.Op)];
-    if (DI.Flags & DIFlagLoad) {
-      ++RT->LoadsAcc;
-      ++FC.Loads;
-    } else if (DI.Flags & DIFlagStore) {
-      ++RT->StoresAcc;
-      ++FC.Stores;
-    }
-  }
+  if (Count)
+    JitBridge::settle(*RT->M, static_cast<FuncId>(RT->CurFn),
+                      static_cast<uint32_t>(RT->BlockFirst + Count - 1));
 }
 
 } // namespace

@@ -55,6 +55,12 @@ add_test(NAME cli_profile_tags
 set_tests_properties(cli_profile_tags PROPERTIES
   PASS_REGULAR_EXPRESSION "promotion left on the table")
 
+# Deep source nesting is a diagnosed compile error, not a stack overflow.
+add_test(NAME cli_deep_nesting
+         COMMAND ${CMAKE_COMMAND} -DRPCC_BIN=${RPCC_BIN}
+                 -DWORK_DIR=${CMAKE_CURRENT_BINARY_DIR}/cli_deep_nesting
+                 -P ${CMAKE_CURRENT_SOURCE_DIR}/DeepNesting.cmake)
+
 add_test(NAME cli_bad_file COMMAND ${RPCC_BIN} /nonexistent.c)
 set_tests_properties(cli_bad_file PROPERTIES WILL_FAIL TRUE)
 

@@ -91,6 +91,24 @@ void expectParityBothProfiles(Module &M, const std::string &What) {
   expectParity(M, Prof, What + " [profiled]");
 }
 
+/// Parity with the step limit swept over [First, Last], profiled and
+/// unprofiled, so the cutoff lands on every step in that window.
+void expectStepLimitSweepParity(Module &M, uint64_t First, uint64_t Last,
+                                const std::string &What,
+                                double WallDeadlineMs = 0) {
+  ProfileMeta Meta = ProfileMeta::build(M);
+  for (uint64_t Limit = First; Limit <= Last; ++Limit) {
+    InterpOptions O;
+    O.MaxSteps = Limit;
+    O.WallDeadlineMs = WallDeadlineMs;
+    expectParity(M, O, What + " step limit " + std::to_string(Limit));
+    InterpOptions P = O;
+    P.Profile = &Meta;
+    expectParity(M, P,
+                 "profiled " + What + " step limit " + std::to_string(Limit));
+  }
+}
+
 // -- Suite programs -----------------------------------------------------------
 
 class SuiteParity : public ::testing::TestWithParam<std::string> {};
@@ -153,6 +171,26 @@ TEST(EngineParityTest, NullDereferenceFaultMatches) {
   Module M = compileOrDie("int main() { int *p; p = (int *)0;\n"
                           "return *p; }");
   expectParityBothProfiles(M, "null deref");
+}
+
+// A fused pair's second half can fault: the fast path fuses the index Add
+// with the pointer Load or Store that follows, so an out-of-bounds global
+// index faults in the pair's second half, inside a called function.
+// Profiled runs decode these pairs unfused.
+TEST(EngineParityTest, FusedLoadSecondHalfFaultMatches) {
+  Module M = compileOrDie("int A[4];\n"
+                          "int peek(int i) { return A[i]; }\n"
+                          "int main() { int s; s = peek(1);\n"
+                          "  s = s + peek(100000); return s; }");
+  expectParityBothProfiles(M, "fused Add+Load fault");
+}
+
+TEST(EngineParityTest, FusedStoreSecondHalfFaultMatches) {
+  Module M = compileOrDie("int A[4];\n"
+                          "void poke(int i, int v) { A[i] = v; }\n"
+                          "int main() { poke(1, 2); poke(100000, 3);\n"
+                          "  return A[1]; }");
+  expectParityBothProfiles(M, "fused Add+Store fault");
 }
 
 TEST(EngineParityTest, CallDepthFaultMatches) {
@@ -223,15 +261,34 @@ TEST(EngineParityTest, StepLimitSweepMatches) {
       "  for (i = 0; i < 1000000; i++) { A[i % 8] = s; s += A[(i + 1) % 8];\n"
       "    x = x * 1.0000001 + 0.5; }\n"
       "  return s; }");
-  ProfileMeta Meta = ProfileMeta::build(M);
-  for (uint64_t Limit = 1; Limit <= 120; ++Limit) {
-    InterpOptions O;
-    O.MaxSteps = Limit;
-    expectParity(M, O, "step limit " + std::to_string(Limit));
-    InterpOptions P = O;
-    P.Profile = &Meta;
-    expectParity(M, P, "profiled step limit " + std::to_string(Limit));
-  }
+  expectStepLimitSweepParity(M, 1, 120, "generic");
+}
+
+/// A loop whose body calls a function, then loads and stores.
+const char *CallingLoopSrc =
+    "int A[4]; int g;\n"
+    "int bump(int v) { g = g + v; return g % 5; }\n"
+    "int main() { int i; int s; s = 0;\n"
+    "  for (i = 0; i < 1000000; i++) { s = s + bump(i);\n"
+    "    A[i % 4] = s; s = s + A[(i + 1) % 4]; }\n"
+    "  return s; }";
+
+// Counting segments also start after every call. A loop body that calls a
+// function puts cutoffs in the callee, and in the caller both before the
+// call and after it, where the resumed segment is the one a fault settles.
+TEST(EngineParityTest, PostCallSegmentStepLimitSweepMatches) {
+  Module M = compileOrDie(CallingLoopSrc);
+  expectStepLimitSweepParity(M, 1, 160, "post-call");
+}
+
+// The wall deadline is polled on the step whose Total is a multiple of
+// 65,536, right next to the step-limit check. A window of limits across
+// that step, with a deadline set far enough out to never trip, cuts the
+// run just before, at and after the poll.
+TEST(EngineParityTest, StepLimitWindowAroundDeadlinePollMatches) {
+  Module M = compileOrDie(CallingLoopSrc);
+  expectStepLimitSweepParity(M, 65536 - 12, 65536 + 12, "poll-window",
+                             /*WallDeadlineMs=*/1e9);
 }
 
 // Every fused-template family the jit emitter recognizes, packed into one
@@ -263,16 +320,7 @@ TEST(EngineParityTest, FusedPairStepLimitSweepMatches) {
       "    A[s % 4] = s; s = s + A[(i + 1) % 4];\n"
       "  }\n"
       "  return s; }");
-  ProfileMeta Meta = ProfileMeta::build(M);
-  for (uint64_t Limit = 1; Limit <= 160; ++Limit) {
-    InterpOptions O;
-    O.MaxSteps = Limit;
-    expectParity(M, O, "fused-pair step limit " + std::to_string(Limit));
-    InterpOptions P = O;
-    P.Profile = &Meta;
-    expectParity(M, P,
-                 "profiled fused-pair step limit " + std::to_string(Limit));
-  }
+  expectStepLimitSweepParity(M, 1, 160, "fused-pair");
 }
 
 } // namespace

@@ -226,10 +226,12 @@ TEST(InterpFaultTest, OutOfBoundsGlobalCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Resource budgets: both engines must fault identically at the limit. The
+// Resource budgets: every engine must fault identically at the limit. The
 // counting-exact budgets (call depth, frame bytes) are checked at frame
-// entry, so the error text AND the step count at the fault must match bit
-// for bit between the reference and fast-path engines.
+// entry, so the error text AND the counters at the fault must match bit for
+// bit between the reference engine and the fast path and, where the build
+// has one, the jit (whose limit and deadline stubs settle the cut counting
+// segment through the fast path's settle routine).
 // ---------------------------------------------------------------------------
 
 const char *RunawaySrc = "int down(int n) { return down(n + 1); }\n"
@@ -240,6 +242,55 @@ ExecResult runEngine(const Module &M, InterpOptions Opts, InterpEngine E) {
   return interpret(M, Opts);
 }
 
+/// The engines compared against the reference switch engine.
+std::vector<InterpEngine> fastEngines() {
+  std::vector<InterpEngine> Es = {InterpEngine::FastPath};
+  if (jitSupported())
+    Es.push_back(InterpEngine::Jit);
+  return Es;
+}
+
+/// Every counter of \p B equals the reference run \p A's.
+void expectSameCounters(const ExecResult &A, const ExecResult &B,
+                        const std::string &What) {
+  EXPECT_EQ(A.Counters.Total, B.Counters.Total) << What;
+  EXPECT_EQ(A.Counters.Loads, B.Counters.Loads) << What;
+  EXPECT_EQ(A.Counters.Stores, B.Counters.Stores) << What;
+  EXPECT_EQ(A.Counters.ByOpcode, B.Counters.ByOpcode) << What;
+  ASSERT_EQ(A.PerFunction.size(), B.PerFunction.size()) << What;
+  for (size_t F = 0; F != A.PerFunction.size(); ++F) {
+    EXPECT_EQ(A.PerFunction[F].Total, B.PerFunction[F].Total) << What;
+    EXPECT_EQ(A.PerFunction[F].Loads, B.PerFunction[F].Loads) << What;
+    EXPECT_EQ(A.PerFunction[F].Stores, B.PerFunction[F].Stores) << What;
+  }
+}
+
+/// The counters of a run the wall-deadline poll stopped agree with each
+/// other: per-opcode, per-function and load/store counts all describe the
+/// same steps, and Total counts one more, the step the poll stopped.
+void expectDeadlineCounters(const ExecResult &R, const std::string &What) {
+  uint64_t ByOp = 0, Loads = 0, Stores = 0;
+  for (size_t Op = 0; Op != NumOpcodes; ++Op) {
+    ByOp += R.Counters.ByOpcode[Op];
+    if (isLoadOp(static_cast<Opcode>(Op)))
+      Loads += R.Counters.ByOpcode[Op];
+    if (isStoreOp(static_cast<Opcode>(Op)))
+      Stores += R.Counters.ByOpcode[Op];
+  }
+  uint64_t FnTotal = 0, FnLoads = 0, FnStores = 0;
+  for (const FunctionCounters &FC : R.PerFunction) {
+    FnTotal += FC.Total;
+    FnLoads += FC.Loads;
+    FnStores += FC.Stores;
+  }
+  EXPECT_EQ(R.Counters.Total, ByOp + 1) << What;
+  EXPECT_EQ(FnTotal, ByOp) << What;
+  EXPECT_EQ(R.Counters.Loads, Loads) << What;
+  EXPECT_EQ(R.Counters.Stores, Stores) << What;
+  EXPECT_EQ(FnLoads, Loads) << What;
+  EXPECT_EQ(FnStores, Stores) << What;
+}
+
 TEST(InterpBudgetTest, CallDepthFaultIsEngineIdentical) {
   Module M;
   std::string Err;
@@ -247,13 +298,16 @@ TEST(InterpBudgetTest, CallDepthFaultIsEngineIdentical) {
   InterpOptions Opts;
   Opts.MaxCallDepth = 500;
   ExecResult A = runEngine(M, Opts, InterpEngine::Switch);
-  ExecResult B = runEngine(M, Opts, InterpEngine::FastPath);
   EXPECT_FALSE(A.Ok);
-  EXPECT_FALSE(B.Ok);
   EXPECT_NE(A.Error.find("depth"), std::string::npos) << A.Error;
-  EXPECT_EQ(A.Error, B.Error);
-  EXPECT_EQ(A.Counters.Total, B.Counters.Total)
-      << "depth fault must be counting-exact across engines";
+  for (InterpEngine E : fastEngines()) {
+    ExecResult B = runEngine(M, Opts, E);
+    EXPECT_FALSE(B.Ok) << interpEngineName(E);
+    EXPECT_EQ(A.Error, B.Error) << interpEngineName(E);
+    expectSameCounters(A, B,
+                       std::string("depth fault must be counting-exact: ") +
+                           interpEngineName(E));
+  }
 }
 
 TEST(InterpBudgetTest, FrameBudgetFaultIsEngineIdentical) {
@@ -268,19 +322,24 @@ TEST(InterpBudgetTest, FrameBudgetFaultIsEngineIdentical) {
   InterpOptions Opts;
   Opts.MaxFrameBytes = 1 << 12; // trips long before MaxCallDepth
   ExecResult A = runEngine(M, Opts, InterpEngine::Switch);
-  ExecResult B = runEngine(M, Opts, InterpEngine::FastPath);
   EXPECT_FALSE(A.Ok);
-  EXPECT_FALSE(B.Ok);
   EXPECT_NE(A.Error.find("frame memory limit"), std::string::npos) << A.Error;
-  EXPECT_EQ(A.Error, B.Error);
-  EXPECT_EQ(A.Counters.Total, B.Counters.Total)
-      << "frame fault must be counting-exact across engines";
+  for (InterpEngine E : fastEngines()) {
+    ExecResult B = runEngine(M, Opts, E);
+    EXPECT_FALSE(B.Ok) << interpEngineName(E);
+    EXPECT_EQ(A.Error, B.Error) << interpEngineName(E);
+    expectSameCounters(A, B,
+                       std::string("frame fault must be counting-exact: ") +
+                           interpEngineName(E));
+  }
 }
 
 TEST(InterpBudgetTest, WallDeadlineFaultsBothEngines) {
-  // The deadline is checked at the same program points in both engines, but
-  // when the clock trips is nondeterministic, so only the message is
-  // compared — not the step count.
+  // The deadline is checked at the same program points in every engine, but
+  // when the clock trips is nondeterministic, so the step counts are not
+  // compared across engines — only the message, and that each run's
+  // counters agree with each other. Total > 0 means the poll inside the
+  // loop tripped, not the one at main's frame entry.
   Module M;
   std::string Err;
   ASSERT_TRUE(compileToIL("int main() { int i; i = 0;\n"
@@ -290,13 +349,17 @@ TEST(InterpBudgetTest, WallDeadlineFaultsBothEngines) {
   InterpOptions Opts;
   Opts.WallDeadlineMs = 1;
   ExecResult A = runEngine(M, Opts, InterpEngine::Switch);
-  ExecResult B = runEngine(M, Opts, InterpEngine::FastPath);
   EXPECT_FALSE(A.Ok);
-  EXPECT_FALSE(B.Ok);
   EXPECT_NE(A.Error.find("wall-clock deadline"), std::string::npos) << A.Error;
-  EXPECT_EQ(A.Error, B.Error);
   EXPECT_GT(A.Counters.Total, 0u) << "partial counts must survive the fault";
-  EXPECT_GT(B.Counters.Total, 0u);
+  expectDeadlineCounters(A, "switch");
+  for (InterpEngine E : fastEngines()) {
+    ExecResult B = runEngine(M, Opts, E);
+    EXPECT_FALSE(B.Ok) << interpEngineName(E);
+    EXPECT_EQ(A.Error, B.Error) << interpEngineName(E);
+    EXPECT_GT(B.Counters.Total, 0u) << interpEngineName(E);
+    expectDeadlineCounters(B, interpEngineName(E));
+  }
 }
 
 TEST(InterpFaultTest, FaultsStillReportCounters) {

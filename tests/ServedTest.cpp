@@ -329,6 +329,24 @@ TEST_F(ServedSocketTest, HealthzCompileAndCacheProvenance) {
   EXPECT_NE(R.Body.find("\"status\":\"error\""), std::string::npos);
 }
 
+// The frontend runs in-process on a worker thread, so source nesting is an
+// attack on the daemon's stack: it must end in an error envelope, and the
+// daemon must still answer afterwards.
+TEST_F(ServedSocketTest, DeeplyNestedSourceIsAnErrorEnvelope) {
+  startServer(ServerOptions());
+  HttpClient C;
+  ASSERT_TRUE(connectClient(C));
+  const std::string Src = "int main(){return " + std::string(20000, '(') +
+                          "1" + std::string(20000, ')') + ";}";
+  HttpClientResponse R;
+  ASSERT_TRUE(C.request("POST", "/compile", compileBody(Src), R));
+  EXPECT_EQ(R.Status, 200);
+  EXPECT_NE(R.Body.find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(R.Body.find("nesting too deep"), std::string::npos) << R.Body;
+  ASSERT_TRUE(C.request("GET", "/healthz", "", R));
+  EXPECT_EQ(R.Status, 200);
+}
+
 TEST_F(ServedSocketTest, RoutingErrors) {
   startServer(ServerOptions());
   HttpClient C;
