@@ -3,6 +3,10 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_map>
 
 using namespace rpcc;
@@ -139,6 +143,10 @@ private:
   }
 
   void error(const std::string &Msg) { Diags.push_back({Line, Col, Msg}); }
+  /// Reports at the first character of the token being lexed.
+  void errorAtStart(const std::string &Msg) {
+    Diags.push_back({StartLine, StartCol, Msg});
+  }
 
   void skipTrivia() {
     for (;;) {
@@ -230,8 +238,15 @@ private:
       advance();
       while (std::isxdigit(static_cast<unsigned char>(peek())))
         S.push_back(advance());
+      // Hex literals take any 64-bit pattern (0xFFFFFFFFFFFFFFFF is -1).
+      uint64_t V = 0;
+      if (S.empty())
+        errorAtStart("hexadecimal literal has no digits");
+      else if (std::from_chars(S.data(), S.data() + S.size(), V, 16).ec !=
+               std::errc())
+        errorAtStart("integer literal out of range");
       Token T = mk(Tok::IntLit);
-      T.IntVal = static_cast<int64_t>(std::stoull(S, nullptr, 16));
+      T.IntVal = static_cast<int64_t>(V);
       return T;
     }
     while (std::isdigit(static_cast<unsigned char>(peek())))
@@ -251,12 +266,23 @@ private:
         S.push_back(advance());
     }
     if (IsFloat) {
+      // Overflow is an error; underflow keeps strtod's (denormal or zero)
+      // value, as C compilers do.
+      errno = 0;
+      double V = std::strtod(S.c_str(), nullptr);
+      if (errno == ERANGE && std::isinf(V)) {
+        errorAtStart("floating literal out of range");
+        V = 0;
+      }
       Token T = mk(Tok::FloatLit);
-      T.FloatVal = std::stod(S);
+      T.FloatVal = V;
       return T;
     }
+    int64_t V = 0;
+    if (std::from_chars(S.data(), S.data() + S.size(), V).ec != std::errc())
+      errorAtStart("integer literal out of range");
     Token T = mk(Tok::IntLit);
-    T.IntVal = static_cast<int64_t>(std::stoll(S));
+    T.IntVal = V;
     return T;
   }
 

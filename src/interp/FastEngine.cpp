@@ -2,15 +2,19 @@
 //
 // The tight dispatch loop over the decoded instruction stream. Every
 // counter, profile, output byte, fault message, and exit code must be
-// bit-identical to the reference switch engine's. Each step still runs the
-// exact Total increment, step-limit and 64K wall-deadline check (then the
-// profile attribution, then the operation), because those can fault at any
-// step. The per-opcode, load/store and per-function counts come instead
-// from one hit counter per counting segment (Decode.h): each closing
-// instruction bumps its segment's counter, runDecoded expands the hits
-// once after the run, and a fault inside a segment settles the executed
-// prefix of that segment through settleSegment, the routine the jit's
-// fault stubs share.
+// bit-identical to the reference switch engine's. Per step the loop runs
+// one compare, `++Total >= Stop` (Machine::stepStop): only reaching Stop
+// takes the step-limit check and the 64K wall-deadline poll, then the
+// profile attribution when profiling, then the operation. The per-opcode,
+// load/store and per-function counts come from one hit counter per
+// counting segment (Decode.h): each closing instruction bumps its
+// segment's counter, runDecoded expands the hits once after the run, and a
+// fault inside a segment settles the executed prefix of that segment
+// through settleSegment, the routine the jit's fault stubs share.
+//
+// Loads and stores test the segments inline (Machine::decodeAddr). A call
+// enters its callee through callDecoded, whose frame comes from
+// Machine::enterFrame, the frame routine the jit shares.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +39,8 @@ using namespace rpcc;
 
 uint64_t Machine::runDecoded(FuncId Main) {
   const uint64_t Ret =
-      Prof ? callDecoded<true>(Main, 0, 0) : callDecoded<false>(Main, 0, 0);
+      Prof ? callDecoded<true>(Main, 0, nullptr, 0)
+           : callDecoded<false>(Main, 0, nullptr, 0);
   // Nothing observes the counters mid-run and sums commute, so every
   // completed segment is multiplied out exactly once, fault or not.
   for (size_t S = 0; S != SegHits.size(); ++S) {
@@ -72,9 +77,10 @@ void Machine::settleSegment(const DecodedFunction &DF, uint32_t At,
     countSlot(DF.Insts[I], DF.Id, 1);
 }
 
-uint64_t Machine::callDecodedDyn(FuncId FId, size_t ArgBase, size_t NArgs) {
-  return Prof ? callDecoded<true>(FId, ArgBase, NArgs)
-              : callDecoded<false>(FId, ArgBase, NArgs);
+uint64_t Machine::callDecodedDyn(FuncId FId, size_t CallerBase,
+                                 const Reg *ArgRegs, size_t NArgs) {
+  return Prof ? callDecoded<true>(FId, CallerBase, ArgRegs, NArgs)
+              : callDecoded<false>(FId, CallerBase, ArgRegs, NArgs);
 }
 
 void Machine::profileDecoded(const DecodedInst &DI, uint32_t BaseSlot,
@@ -94,126 +100,91 @@ void Machine::profileDecoded(const DecodedInst &DI, uint32_t BaseSlot,
 }
 
 template <bool Profiled>
-uint64_t Machine::callDecoded(FuncId FId, size_t ArgBase, size_t NArgs) {
-  if (Err.Active)
-    return 0;
-  if (++CallDepth > Opts.MaxCallDepth) {
-    Err.raise("call depth limit exceeded (runaway recursion?)");
-    --CallDepth;
-    return 0;
-  }
+uint64_t Machine::callDecoded(FuncId FId, size_t CallerBase,
+                              const Reg *ArgRegs, size_t NArgs) {
   const DecodedFunction &DF = DM->Funcs[FId];
-  uint64_t Result;
   if (!DF.HasBody) {
-    Result = callBuiltin(DF.Builtin, ArgArena.data() + ArgBase, NArgs);
-  } else if (JP) {
+    if (callGuardFaults())
+      return 0;
+    // Builtins take at most two arguments (the verifier checks arity).
+    uint64_t Args[2] = {0, 0};
+    for (size_t I = 0; I != NArgs && I != 2; ++I)
+      Args[I] = RegArena.data()[CallerBase + ArgRegs[I]];
+    return callBuiltin(DF.Builtin, Args, NArgs);
+  }
+  Frame F;
+  if (!enterFrame(DF, CallerBase, ArgRegs, NArgs, F))
+    return 0;
+  JitProgram::Entry E = nullptr;
+  if (JP) {
     // Lazy per-function compilation: pay emission only for functions that
     // actually run (and nothing at all on code-cache hits). Declines fall
     // back to the fast path, making --engine=jit total.
-    JitProgram::Entry E = JP->entry(FId);
+    E = JP->entry(FId);
     if (!E && !JP->declined(FId)) {
       uint64_t Us = 0;
       E = JP->compile(DF, Us);
       JitCompileUs += Us;
     }
-    Result = E ? execJit<Profiled>(E, DF, ArgBase, NArgs)
-               : execDecoded<Profiled>(DF, ArgBase, NArgs);
-  } else {
-    Result = execDecoded<Profiled>(DF, ArgBase, NArgs);
   }
-  --CallDepth;
+  const uint64_t Result = E ? runJit(E, F) : execDecoded<Profiled>(DF, F);
+  leaveFrame(DF, F);
   return Result;
 }
 
-template <bool Profiled>
-uint64_t Machine::execJit(JitProgram::Entry E, const DecodedFunction &DF,
-                          size_t ArgBase, size_t NArgs) {
-  // Same frame ceremony as execDecoded, in the same order, so budgets fault
-  // at the same counting points and the profiler sees identical frames.
-  if (checkFrameBudget(DF.FrameSize) || checkWallDeadline())
-    return 0;
-  const size_t FrameOff = StackMem.size();
-  StackMem.resize(FrameOff + DF.FrameSize, 0);
-  if (Profiled && DF.FrameSize)
-    FrameStack.push_back({InterpStackBase + FrameOff, DF.Id});
-
-  const size_t RegBase = RegArena.size();
-  RegArena.resize(RegBase + DF.NumRegs, 0);
-  {
-    uint64_t *Regs = RegArena.data() + RegBase;
-    const uint64_t *Args = ArgArena.data() + ArgBase;
-    const size_t NParams = DF.ParamRegs.size();
-    for (size_t I = 0; I != NArgs && I != NParams; ++I)
-      Regs[DF.ParamRegs[I]] = Args[I];
-  }
-
-  // Hand the step counter and arena bases to the native frame; the call
-  // shims keep them fresh across nested calls, and the epilogue flushes
-  // Total back even on faults.
+uint64_t Machine::runJit(JitProgram::Entry E, const Frame &F) {
+  // Hand the step counter, its next stop and the arena bases to the native
+  // frame; the call shims keep them fresh across nested calls, and the
+  // epilogue flushes Total back even on faults.
   RT.TotalCell = Counters.Total;
+  RT.StopCell = stepStop(Counters.Total);
   RT.RegArenaData = RegArena.data();
   RT.StackData = StackMem.data();
   RT.HeapData = HeapMem.data();
   RT.HeapSize = HeapMem.size();
   RT.StackSize = StackMem.size();
   RT.FaultCell = Err.Active;
-  const uint64_t RetVal = E(&RT, RegBase, FrameOff);
+  const uint64_t RetVal = E(&RT, F.RegBase, F.FrameOff);
   Counters.Total = RT.TotalCell;
-
-  if (Profiled && DF.FrameSize)
-    FrameStack.pop_back();
-  StackMem.resize(FrameOff);
-  RegArena.resize(RegBase);
   return RetVal;
 }
 
 template <bool Profiled>
-uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
-                              size_t NArgs) {
-  // Budget checks before the frame exists; mirrors the switch engine's
-  // executeBody so the fault point is counting-exact across engines.
-  if (checkFrameBudget(DF.FrameSize) || checkWallDeadline())
-    return 0;
-  const uint64_t FrameBase = InterpStackBase + StackMem.size();
-  StackMem.resize(StackMem.size() + DF.FrameSize, 0);
-  if (Profiled && DF.FrameSize)
-    FrameStack.push_back({FrameBase, DF.Id});
-
-  const size_t RegBase = RegArena.size();
-  RegArena.resize(RegBase + DF.NumRegs, 0);
-  {
-    uint64_t *Regs = RegArena.data() + RegBase;
-    const uint64_t *Args = ArgArena.data() + ArgBase;
-    const size_t NParams = DF.ParamRegs.size();
-    for (size_t I = 0; I != NArgs && I != NParams; ++I)
-      Regs[DF.ParamRegs[I]] = Args[I];
-  }
-
+uint64_t Machine::execDecoded(const DecodedFunction &DF, const Frame &F) {
   uint64_t RetVal = 0;
-  uint64_t *R = RegArena.data() + RegBase;
+  uint64_t *R = RegArena.data() + F.RegBase;
+  const uint64_t FrameBase = InterpStackBase + F.FrameOff;
   const DecodedInst *const IP = DF.Insts.data();
   const uint32_t *const PS = DF.ProfSlots.data(); // empty unless Profiled
   (void)PS;
   uint64_t *const Hits = SegHits.data();
-  const uint64_t MaxSteps = Opts.MaxSteps;
   const DecodedInst *DI = IP;
+  // Callee and argument registers of the call being made.
+  FuncId CallFn = NoFunc;
+  const Reg *CallArgs = nullptr;
+  size_t CallN = 0;
 
   // Total lives in a local across the loop: the compiler cannot keep the
   // member in a register itself, because the memory helpers called from
   // handlers might alias it. It is flushed back at every exit and around
-  // calls (the callee bumps the same Total).
+  // calls (the callee bumps the same Total), after which Stop is
+  // recomputed.
   uint64_t TotalLoc = Counters.Total;
+  uint64_t Stop = stepStop(TotalLoc);
 
-// Step prologue; mirrors the switch engine's Total/limit/deadline checks.
-// The step a limit or deadline fault stops is not counted, so LIMIT names
-// the exit that settles exactly the steps before it.
+#if defined(__GNUC__) || defined(__clang__)
+#define RPCC_UNLIKELY(X) __builtin_expect(!!(X), 0)
+#else
+#define RPCC_UNLIKELY(X) (X)
+#endif
+
+// Step prologue; the single compare of Machine::stepStop. Only reaching
+// Stop runs the switch engine's step-limit check and deadline poll. The
+// step a limit or deadline fault stops is not counted, so LIMIT names the
+// exit that settles exactly the steps before it.
 #define RPCC_STEP_CHECK(LIMIT)                                                 \
   do {                                                                         \
-    if (++TotalLoc > MaxSteps) {                                               \
-      Err.raise("step limit exceeded (infinite loop?)");                       \
-      goto LIMIT;                                                              \
-    }                                                                          \
-    if ((TotalLoc & 0xFFFF) == 0 && checkWallDeadline())                       \
+    if (RPCC_UNLIKELY(++TotalLoc >= Stop) && !(Stop = stepSlow(TotalLoc)))     \
       goto LIMIT;                                                              \
   } while (0)
 #define RPCC_STEP_PROLOGUE()                                                   \
@@ -229,6 +200,23 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
 // to count, which is what fast_fault settles. Fused second ops are never
 // profiled (mem-consuming fusions are disabled when a sink is attached).
 #define RPCC_SECOND_STEP() RPCC_STEP_CHECK(fast_fault)
+
+// Memory access through the one address decoder; a fault leaves through
+// FAULT (fast_fault, or fast_fault2 from the second half of a fused pair).
+#define RPCC_LOAD(DECODE, ADDR, FAULT)                                         \
+  do {                                                                         \
+    uint8_t *P;                                                                \
+    if (!DECODE(ADDR, memTypeSize(DI->MemTy), P))                              \
+      goto FAULT;                                                              \
+    R[DI->Result] = readMem(P, DI->MemTy);                                     \
+  } while (0)
+#define RPCC_STORE(DECODE, ADDR, VAL, FAULT)                                   \
+  do {                                                                         \
+    uint8_t *P;                                                                \
+    if (!DECODE(ADDR, memTypeSize(DI->MemTy), P))                              \
+      goto FAULT;                                                              \
+    writeMem(P, DI->MemTy, VAL);                                               \
+  } while (0)
 
 #if RPCC_INTERP_THREADED
 #define RPCC_DISPATCH()                                                        \
@@ -426,57 +414,29 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     R[DI->Result] = FrameBase + static_cast<uint64_t>(DI->Imm);
     RPCC_NEXT();
   RPCC_CASE(ScalarLoadAbs):
-    R[DI->Result] = loadMem(static_cast<uint64_t>(DI->Imm), DI->MemTy);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_LOAD(globalAddr, static_cast<uint64_t>(DI->Imm), fast_fault);
     RPCC_NEXT();
   RPCC_CASE(ScalarLoadFrame):
-    R[DI->Result] =
-        loadMem(FrameBase + static_cast<uint64_t>(DI->Imm), DI->MemTy);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_LOAD(stackAddr, FrameBase + static_cast<uint64_t>(DI->Imm),
+              fast_fault);
     RPCC_NEXT();
   RPCC_CASE(ScalarStoreAbs):
-    storeMem(static_cast<uint64_t>(DI->Imm), DI->MemTy, R[DI->A]);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_STORE(globalAddr, static_cast<uint64_t>(DI->Imm), R[DI->A],
+               fast_fault);
     RPCC_NEXT();
   RPCC_CASE(ScalarStoreFrame):
-    storeMem(FrameBase + static_cast<uint64_t>(DI->Imm), DI->MemTy, R[DI->A]);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_STORE(stackAddr, FrameBase + static_cast<uint64_t>(DI->Imm),
+               R[DI->A], fast_fault);
     RPCC_NEXT();
   RPCC_CASE(PtrLoad):
-    R[DI->Result] = loadMem(R[DI->A], DI->MemTy);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_LOAD(decodeAddr, R[DI->A], fast_fault);
     RPCC_NEXT();
   RPCC_CASE(PtrStore):
-    storeMem(R[DI->A], DI->MemTy, R[DI->B]);
-    if (Err.Active)
-      goto fast_fault;
+    RPCC_STORE(decodeAddr, R[DI->A], R[DI->B], fast_fault);
     RPCC_NEXT();
   // A call closes its segment before the callee runs, so a fault anywhere
-  // past this point (callee entry, builtin, target check) has nothing of
-  // this frame left to settle.
-  RPCC_CASE(Call): {
-    ++Hits[DI->Imm];
-    const size_t AB = ArgArena.size();
-    const Reg *AR = DF.ArgPool.data() + DI->T1;
-    const size_t N = DI->A;
-    for (size_t I = 0; I != N; ++I)
-      ArgArena.push_back(R[AR[I]]);
-    Counters.Total = TotalLoc;
-    const uint64_t V = callDecoded<Profiled>(DI->T0, AB, N);
-    TotalLoc = Counters.Total;
-    ArgArena.resize(AB);
-    R = RegArena.data() + RegBase; // the callee may have grown the arena
-    if (Err.Active)
-      goto fast_done;
-    if (DI->Result != NoReg)
-      R[DI->Result] = V;
-    RPCC_NEXT();
-  }
+  // past this point (target check, frame entry, builtin, the callee's
+  // steps) has nothing of this frame left to settle.
   RPCC_CASE(CallIndirect): {
     ++Hits[DI->Imm];
     const uint64_t Target = R[DI->A];
@@ -485,17 +445,23 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
       Err.raise("indirect call through a non-function value");
       goto fast_done;
     }
-    const size_t AB = ArgArena.size();
-    const Reg *AR = DF.ArgPool.data() + DI->T0;
-    const size_t N = DI->T1;
-    for (size_t I = 0; I != N; ++I)
-      ArgArena.push_back(R[AR[I]]);
+    CallFn = static_cast<FuncId>(Target & ~InterpFuncBase);
+    CallArgs = DF.ArgPool.data() + DI->T0;
+    CallN = DI->T1;
+    goto fast_call;
+  }
+  RPCC_CASE(Call):
+    ++Hits[DI->Imm];
+    CallFn = DI->T0;
+    CallArgs = DF.ArgPool.data() + DI->T1;
+    CallN = DI->A;
+  fast_call: {
     Counters.Total = TotalLoc;
-    const uint64_t V = callDecoded<Profiled>(
-        static_cast<FuncId>(Target & ~InterpFuncBase), AB, N);
+    const uint64_t V =
+        callDecoded<Profiled>(CallFn, F.RegBase, CallArgs, CallN);
     TotalLoc = Counters.Total;
-    ArgArena.resize(AB);
-    R = RegArena.data() + RegBase;
+    Stop = stepStop(TotalLoc);
+    R = RegArena.data() + F.RegBase; // the callee may have grown the arena
     if (Err.Active)
       goto fast_done;
     if (DI->Result != NoReg)
@@ -520,7 +486,6 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
   RPCC_CASE(Fault):
     Err.raise(DF.FaultMsgs[static_cast<size_t>(DI->Imm)]);
     goto fast_fault;
-
 // Fused compare-and-branch: the compare's result register is still written
 // (it may have other readers), then the Br is counted and taken directly.
 #define RPCC_CMP_BR(CMP)                                                       \
@@ -624,9 +589,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);
     R[DI->T0] = Addr;
     RPCC_SECOND_STEP();
-    R[DI->Result] = loadMem(Addr, DI->MemTy);
-    if (Err.Active)
-      goto fast_fault2;
+    RPCC_LOAD(decodeAddr, Addr, fast_fault2);
     RPCC_NEXT2();
   }
   RPCC_CASE(AddStore): {
@@ -635,12 +598,9 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     const uint64_t Addr = wrapAdd(R[DI->A], R[DI->B]);
     R[DI->T0] = Addr;
     RPCC_SECOND_STEP();
-    storeMem(Addr, DI->MemTy, R[DI->Result]);
-    if (Err.Active)
-      goto fast_fault2;
+    RPCC_STORE(decodeAddr, Addr, R[DI->Result], fast_fault2);
     RPCC_NEXT2();
   }
-
 // Fused multiply-accumulate: the product's register is written first, then
 // the outer FAdd/FSub is counted and executed reading back through R, with
 // the operand order the variant recorded at decode time.
@@ -676,6 +636,7 @@ uint64_t Machine::execDecoded(const DecodedFunction &DF, size_t ArgBase,
     DI = IP + DI->T0;
     RPCC_JUMP();
 
+
 #if !RPCC_INTERP_THREADED
     case DecodedOp::kNumDecodedOps:
       assert(false && "sentinel DecodedOp reached the fast engine");
@@ -697,10 +658,14 @@ fast_fault:
   settleSegment(DF, static_cast<uint32_t>(DI - IP), true);
 fast_done:
   Counters.Total = TotalLoc;
+  return RetVal;
 
+#undef RPCC_UNLIKELY
 #undef RPCC_STEP_CHECK
 #undef RPCC_STEP_PROLOGUE
 #undef RPCC_SECOND_STEP
+#undef RPCC_LOAD
+#undef RPCC_STORE
 #undef RPCC_CMP_BR
 #undef RPCC_LOADI_THEN
 #undef RPCC_BIN_THEN_ADD
@@ -712,10 +677,4 @@ fast_done:
 #if RPCC_INTERP_THREADED
 #undef RPCC_DISPATCH
 #endif
-
-  if (Profiled && DF.FrameSize)
-    FrameStack.pop_back();
-  StackMem.resize(FrameBase - InterpStackBase);
-  RegArena.resize(RegBase);
-  return RetVal;
 }

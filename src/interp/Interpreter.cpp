@@ -116,7 +116,6 @@ ExecResult Machine::run() {
       JP = jitProgramFor(Decoded, GlobalMem.size(), Prof != nullptr,
                          Opts.JitCodeCache);
       initJitRuntime(RT, this);
-      RT.MaxSteps = Opts.MaxSteps;
       RT.SegHits = SegHits.data();
       RT.GlobalData = GlobalMem.data();
     }
@@ -141,62 +140,47 @@ ExecResult Machine::run() {
 }
 
 // -- Memory -------------------------------------------------------------------
-uint8_t *Machine::decodeAddr(uint64_t Addr, size_t Len) {
-  if (Addr >= InterpFuncBase) {
+void Machine::addrFault(uint64_t Addr) {
+  // No segment holds the access; the range the address falls in names the
+  // fault.
+  if (Addr >= InterpFuncBase)
     Err.raise("memory access to a function address");
-    return nullptr;
-  }
-  if (Addr >= InterpHeapBase) {
-    uint64_t Off = Addr - InterpHeapBase;
-    if (Off + Len > HeapMem.size()) {
-      Err.raise("heap access out of bounds at +" + std::to_string(Off));
-      return nullptr;
-    }
-    return HeapMem.data() + Off;
-  }
-  if (Addr >= InterpStackBase) {
-    uint64_t Off = Addr - InterpStackBase;
-    if (Off + Len > StackMem.size()) {
-      Err.raise("stack access out of bounds");
-      return nullptr;
-    }
-    return StackMem.data() + Off;
-  }
-  if (Addr >= InterpGlobalBase) {
-    uint64_t Off = Addr - InterpGlobalBase;
-    if (Off + Len > GlobalMem.size()) {
-      Err.raise("global access out of bounds");
-      return nullptr;
-    }
-    return GlobalMem.data() + Off;
-  }
-  Err.raise("null or invalid pointer dereference (address " +
-            std::to_string(Addr) + ")");
-  return nullptr;
+  else if (Addr >= InterpHeapBase)
+    Err.raise("heap access out of bounds at +" +
+              std::to_string(Addr - InterpHeapBase));
+  else if (Addr >= InterpStackBase)
+    Err.raise("stack access out of bounds");
+  else if (Addr >= InterpGlobalBase)
+    Err.raise("global access out of bounds");
+  else
+    Err.raise("null or invalid pointer dereference (address " +
+              std::to_string(Addr) + ")");
 }
 
-uint64_t Machine::loadMem(uint64_t Addr, MemType T) {
-  size_t Len = memTypeSize(T);
-  uint8_t *P = decodeAddr(Addr, Len);
-  if (!P)
+// -- Budgets of the fast engines ----------------------------------------------
+uint64_t Machine::stepSlow(uint64_t Total) {
+  if (Total > Opts.MaxSteps) {
+    Err.raise("step limit exceeded (infinite loop?)");
     return 0;
-  if (T == MemType::I8)
-    return *P;
-  uint64_t V;
-  std::memcpy(&V, P, 8);
-  return V;
+  }
+  if ((Total & 0xFFFF) == 0 && checkWallDeadline())
+    return 0;
+  return stepStop(Total);
 }
 
-void Machine::storeMem(uint64_t Addr, MemType T, uint64_t V) {
-  size_t Len = memTypeSize(T);
-  uint8_t *P = decodeAddr(Addr, Len);
-  if (!P)
-    return;
-  if (T == MemType::I8) {
-    *P = static_cast<uint8_t>(V);
-    return;
+bool Machine::callGuardFaults() {
+  if (Err.Active)
+    return true;
+  if (CallDepth >= Opts.MaxCallDepth) {
+    Err.raise("call depth limit exceeded (runaway recursion?)");
+    return true;
   }
-  std::memcpy(P, &V, 8);
+  return false;
+}
+
+bool Machine::frameGuardFaults(size_t FrameSize) {
+  return callGuardFaults() || checkFrameBudget(FrameSize) ||
+         checkWallDeadline();
 }
 
 uint64_t Machine::tagAddress(TagId T, uint64_t FrameBase) {
@@ -324,8 +308,8 @@ uint64_t Machine::callBuiltin(BuiltinKind K, const uint64_t *Args, size_t N) {
     uint64_t P = Args[0];
     std::string S;
     for (;;) {
-      uint8_t *B = decodeAddr(P++, 1);
-      if (!B || !*B)
+      uint8_t *B;
+      if (!decodeAddr(P++, 1, B) || !*B)
         break;
       S.push_back(static_cast<char>(*B));
       if (S.size() > (1 << 20)) {
@@ -370,8 +354,7 @@ uint64_t Machine::executeBody(const Function &F,
   const FrameLayout *SavedLayout = CurLayout;
   CurLayout = &Layout;
 
-  uint64_t FrameBase = InterpStackBase + StackMem.size();
-  StackMem.resize(StackMem.size() + Layout.Size, 0);
+  uint64_t FrameBase = InterpStackBase + StackMem.push(Layout.Size);
   // Zero-sized frames own no stack bytes: keeping them off the frame
   // stack keeps its bases strictly increasing for binary search.
   if (Prof && Layout.Size)
@@ -576,7 +559,7 @@ uint64_t Machine::executeBody(const Function &F,
         RetVal = Regs[I.Ops[0]];
       if (Prof && Layout.Size)
         FrameStack.pop_back();
-      StackMem.resize(FrameBase - InterpStackBase);
+      StackMem.pop(FrameBase - InterpStackBase);
       CurLayout = SavedLayout;
       return RetVal;
     case Opcode::Phi:
@@ -591,7 +574,7 @@ uint64_t Machine::executeBody(const Function &F,
 
   if (Prof && Layout.Size)
     FrameStack.pop_back();
-  StackMem.resize(FrameBase - InterpStackBase);
+  StackMem.pop(FrameBase - InterpStackBase);
   CurLayout = SavedLayout;
   return RetVal;
 }

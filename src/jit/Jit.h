@@ -38,7 +38,9 @@
 /// local, segment hits land in the Machine's own counters, and budgets
 /// (MaxSteps, MaxFrameBytes, WallDeadlineMs) are checked at the identical
 /// program points, so the budget-parity tests hold including
-/// Counters.Total.
+/// Counters.Total. The per-step check is the fast path's single compare
+/// against JitRT::StopCell, frames come from the Machine's one frame
+/// routine, and the memory shims go through its one address decoder.
 ///
 /// Functions the emitter declines (an operation outside the template set,
 /// out-of-range displacements) simply get no native entry and run on the
@@ -86,8 +88,12 @@ struct JitRT {
   /// r12 and flushes here around calls and exits, exactly where the fast
   /// path flushes its TotalLoc local.
   uint64_t TotalCell = 0;
-  /// InterpOptions::MaxSteps, compared against r12 every step.
-  uint64_t MaxSteps = 0;
+  /// The fast path's Stop (Machine::stepStop), compared against r12 every
+  /// step: reaching it calls the step stub, whose shim runs the step-limit
+  /// check and the deadline poll and writes the next Stop back. Shared by
+  /// all native frames; set at every entry from C++ and after every generic
+  /// call. A value left from an older Total is only ever too low.
+  uint64_t StopCell = 0;
   /// RegArena.data(), refreshed by the call shims after any callee growth;
   /// emitted code rebases its frame pointer from it after every call.
   uint64_t *RegArenaData = nullptr;
@@ -132,8 +138,7 @@ struct JitRT {
   const void *HelpFpToInt = nullptr;
   const void *HelpCall = nullptr;
   const void *HelpCallInd = nullptr;
-  const void *HelpDeadline = nullptr;
-  const void *HelpStepLimit = nullptr;
+  const void *HelpStepSlow = nullptr;
   const void *HelpFault = nullptr;
   const void *HelpProfile = nullptr;
   const void *HelpFlushCounters = nullptr;

@@ -45,22 +45,39 @@ std::atomic<uint64_t> CacheHits{0};
 /// nothing to memoize against), and a byte-serial multiply chain over the
 /// whole instruction stream would dominate the wall time of short programs.
 /// Each word is diffused before the multiply (xor-shift of the high bits)
-/// so single-bit differences still avalanche across word lanes.
+/// so single-bit differences still avalanche across word lanes. Long runs
+/// go through two interleaved lanes, each a full pair of streams, which
+/// halves the serial multiply chain; the second lane folds back in as two
+/// words.
 struct Hash2 {
   uint64_t A = 0xcbf29ce484222325ull;
   uint64_t B = 0x84222325bd1e9955ull;
 
-  void word(uint64_t W) {
+  static void mix(uint64_t &A, uint64_t &B, uint64_t W) {
     W ^= W >> 33;
     A = (A ^ W) * 0xff51afd7ed558ccdull;
     B = (B ^ W) * 0xc4ceb9fe1a85ec53ull;
   }
+  void word(uint64_t W) { mix(A, B, W); }
   void bytes(const void *P, size_t N) {
     const uint8_t *C = static_cast<const uint8_t *>(P);
-    uint64_t W;
-    for (; N >= 8; C += 8, N -= 8) {
+    uint64_t W, W2;
+    if (N >= 16) {
+      uint64_t A2 = ~A, B2 = ~B;
+      for (; N >= 16; C += 16, N -= 16) {
+        std::memcpy(&W, C, 8);
+        std::memcpy(&W2, C + 8, 8);
+        mix(A, B, W);
+        mix(A2, B2, W2);
+      }
+      word(A2);
+      word(B2);
+    }
+    if (N >= 8) {
       std::memcpy(&W, C, 8);
       word(W);
+      C += 8;
+      N -= 8;
     }
     if (N) {
       W = 0;
@@ -81,7 +98,7 @@ std::pair<uint64_t, uint64_t> keyOf(const DecodedModule &DM,
   // Version salt: bump when emission changes so stale processes (none today
   // — the cache is in-process — but the salt also separates this emitter
   // generation in any future on-disk variant) never mix streams.
-  H.u64(0x52504A4954'0003ull); // "RPJIT" v3
+  H.u64(0x52504A4954'0004ull); // "RPJIT" v4
   H.u64(GlobalSize);
   H.u64(Profiled);
   H.u64(DM.Funcs.size());

@@ -21,19 +21,21 @@
 // reallocated); r12 is flushed to JitRT::TotalCell around calls and exits,
 // exactly where the fast path flushes its Total local.
 //
-// Counting. Each step still runs the bounded prologue (Total++ against
-// MaxSteps, the 64K wall-deadline poll) because those can fault. Everything
-// else is counted per counting segment (Decode.h): the segment's closing
-// instruction runs one `inc qword [r14 + id*8]` on the hit counter the fast
-// path shares, and Machine expands the hits after the run. A segment records
-// its entry Total and first instruction index in JitRT cells, so a fault
-// path can hand the number of steps it ran to the flush shim, which settles
-// them through the settle routine the fast path uses — at the precise step
-// index the fast path would have counted to. Fault taxonomy: shim faults
-// (memory, div/rem, decode-time Fault records) are "prologue-complete" —
-// the faulting instruction is fully counted, like both interpreters count
-// it; step-limit and deadline faults exclude the faulting step (the
-// interpreters raise before counting it). A fault raised by a callee leaves
+// Counting. Each step runs the fast path's single compare (Machine::
+// stepStop): `inc r12; cmp r12, [r15+Stop]; jb +5; call StubStepSlow`.
+// Only reaching JitRT::StopCell calls the stub, whose shim runs the
+// step-limit check, then the 64K wall-deadline poll, and moves the cell on.
+// Everything else is counted per counting segment (Decode.h): the
+// segment's closing instruction runs one `inc qword [r14 + id*8]` on the
+// hit counter the fast path shares, and Machine expands the hits after the
+// run. A segment records its entry Total and first instruction index in
+// JitRT cells, so a fault path can hand the number of steps it ran to the
+// flush shim, which settles them through the settle routine the fast path
+// uses — at the precise step index the fast path would have counted to.
+// Fault taxonomy: shim faults (memory, div/rem, decode-time Fault records)
+// are "prologue-complete" — the faulting instruction is fully counted,
+// like both interpreters count it; step-limit and deadline faults exclude
+// the faulting step (the interpreters raise before counting it). A fault raised by a callee leaves
 // nothing to settle: the call closed its segment before the shim ran.
 //
 // Relocation. Emitted code bakes no per-Machine pointers: the hit counters,
@@ -285,17 +287,16 @@ struct Fixup {
 // Stub labels appended after the instruction, block-body, and loop-thunk
 // labels. Order matters for the fall-throughs noted in emit().
 enum : uint32_t {
-  StubStep = 0,       ///< step-limit raise, then partial-count flush
-  StubFaultLimit = 1, ///< flush excluding the faulting step, then unwind
-  StubDeadline = 2,   ///< 64K wall poll (reached by call, pool preserved)
-  StubFaultP = 3,     ///< flush including the faulting step, then unwind
-  StubFault = 4,      ///< zero the return value, fall into the epilogue
-  StubEpi = 5,
-  NumStubs = 6,
+  StubFaultLimit = 0, ///< flush excluding the faulting step, then unwind
+  StubStepSlow = 1,   ///< cold step check (reached by call, pool preserved)
+  StubFaultP = 2,     ///< flush including the faulting step, then unwind
+  StubFault = 3,      ///< zero the return value, fall into the epilogue
+  StubEpi = 4,
+  NumStubs = 5,
 };
 
 constexpr int32_t OffTotal = offsetof(JitRT, TotalCell);
-constexpr int32_t OffMaxSteps = offsetof(JitRT, MaxSteps);
+constexpr int32_t OffStop = offsetof(JitRT, StopCell);
 constexpr int32_t OffRegArena = offsetof(JitRT, RegArenaData);
 constexpr int32_t OffStackData = offsetof(JitRT, StackData);
 constexpr int32_t OffFault = offsetof(JitRT, FaultCell);
@@ -502,14 +503,12 @@ private:
 };
 
 void FunctionEmitter::emitStepPrologue(const DecodedInst &DI, uint32_t I) {
-  // inc r12; cmp r12, [r15+MaxSteps]; ja StubStep
+  // The fast path's single compare (Machine::stepStop):
+  // inc r12; cmp r12, [r15+Stop]; jb +5; call StubStepSlow
   A.b(0x49); A.b(0xFF); A.b(0xC4);
-  A.aluRM(0x3B, R12, R15, OffMaxSteps);
-  jccTo(0x7, stub(StubStep)); // ja
-  // Every 64K steps: test r12w, r12w; jnz +5; call StubDeadline
-  A.b(0x66); A.b(0x45); A.b(0x85); A.b(0xE4);
-  A.b(0x75); A.b(0x05);
-  callTo(stub(StubDeadline));
+  A.aluRM(0x3B, R12, R15, OffStop);
+  A.b(0x72); A.b(0x05);
+  callTo(stub(StubStepSlow));
   // Nothing else is counted per step — see the segment counting in the
   // file header. The profile shim still runs per memory step (the
   // sink's per-step attribution cannot be deferred); profiling disables
@@ -1241,13 +1240,8 @@ bool FunctionEmitter::emit() {
 
   A.ensure(512); // the stubs
 
-  // Step-limit: raise through the shim, then settle the partial segment
-  // excluding the overflowing step (the interpreters raise before counting
-  // it).
-  label(stub(StubStep));
-  A.movRR(RDI, R15);
-  A.callM(R15, offsetof(JitRT, HelpStepLimit));
-  // fall through
+  // Limit faults (step limit, deadline): settle the partial segment
+  // excluding the stopped step (the interpreters raise before counting it).
   label(stub(StubFaultLimit));
   A.movRR(RSI, R12);
   A.aluRM(0x2B, RSI, R15, OffBlockSnap);
@@ -1256,11 +1250,12 @@ bool FunctionEmitter::emit() {
   A.callM(R15, offsetof(JitRT, HelpFlushCounters));
   jmpTo(stub(StubFault));
 
-  // Deadline poll (reached by call, so rsp is 8 past alignment here). The
-  // C call clobbers the caller-saved residency pool, and this stub runs
-  // every 64K steps mid-block — preserve the pool instead of forcing the
-  // prologues to write back.
-  label(stub(StubDeadline));
+  // The cold step check (reached by call, so rsp is 8 past alignment
+  // here): the step-limit check, then the deadline poll, then the next
+  // Stop, all in the shim. The C call clobbers the caller-saved residency
+  // pool, and this stub runs mid-block — preserve the pool instead of
+  // forcing the prologues to write back.
+  label(stub(StubStepSlow));
   A.b(0x56);            // push rsi
   A.b(0x57);            // push rdi
   A.b(0x41); A.b(0x50); // push r8
@@ -1269,10 +1264,11 @@ bool FunctionEmitter::emit() {
   A.b(0x41); A.b(0x53); // push r11
   A.b(0x48); A.b(0x83); A.b(0xEC); A.b(0x08); // sub rsp, 8 (align)
   A.movRR(RDI, R15);
-  A.callM(R15, offsetof(JitRT, HelpDeadline));
+  A.movRR(RSI, R12);
+  A.callM(R15, offsetof(JitRT, HelpStepSlow));
   A.b(0x48); A.b(0x83); A.b(0xC4); A.b(0x08); // add rsp, 8
   A.testRR(RAX, RAX);
-  size_t ToDeadFault = jccFwd(0x5); // jnz
+  size_t ToLimitFault = jccFwd(0x5); // jnz
   A.b(0x41); A.b(0x5B); // pop r11
   A.b(0x41); A.b(0x5A); // pop r10
   A.b(0x41); A.b(0x59); // pop r9
@@ -1280,10 +1276,9 @@ bool FunctionEmitter::emit() {
   A.b(0x5F);            // pop rdi
   A.b(0x5E);            // pop rsi
   A.b(0xC3);
-  bindFwd(ToDeadFault);
+  bindFwd(ToLimitFault);
   // Drop the saved pool and the return address (48 + 8), landing back at
-  // the body's stack level; the deadline-striking step is excluded exactly
-  // like the step-limit one.
+  // the body's stack level.
   A.b(0x48); A.b(0x83); A.b(0xC4); A.b(56); // add rsp, 56
   jmpTo(stub(StubFaultLimit));
 

@@ -3,12 +3,13 @@
 // Everything with observable semantics goes through here: memory access,
 // div/rem guards, fpToIntSat, calls, profiling, budget faults, and the
 // settle of a counting segment cut by a fault. Each shim is a thin
-// extern "C" wrapper over the exact Machine service both interpreter
-// engines use, so fault messages and counting stay byte-identical by
-// construction. The call shims are also where the counter hand-off
+// extern "C" wrapper over the exact Machine service the interpreter
+// engines use — the address decoder, the frame routine, the cold step
+// check — so fault messages and counting stay byte-identical by
+// construction. The generic call shim is also where the counter hand-off
 // happens: Counters.Total crosses from JitRT::TotalCell into the Machine
-// before the callee runs and back after, mirroring the fast path's
-// flush/reload pair around calls.
+// before a C++ callee runs and back after, mirroring the fast path's
+// flush/reload pair around its C++ calls.
 //
 // Because compiled code is shared across Machines through the code cache,
 // the shims take DecodedFunction-relative operands (argument-pool offsets,
@@ -38,23 +39,33 @@ struct JitBridge {
   }
   static InterpFault &err(Machine &M) { return M.Err; }
   static OpCounters &counters(Machine &M) { return M.Counters; }
-  static std::vector<uint64_t> &argArena(Machine &M) { return M.ArgArena; }
-  static std::vector<uint64_t> &regArena(Machine &M) { return M.RegArena; }
-  static std::vector<uint8_t> &stackMem(Machine &M) { return M.StackMem; }
+  static FrameArena<uint64_t> &regArena(Machine &M) { return M.RegArena; }
+  static FrameArena<uint8_t> &stackMem(Machine &M) { return M.StackMem; }
   static std::vector<uint8_t> &heapMem(Machine &M) { return M.HeapMem; }
   static const DecodedModule &dm(const Machine &M) { return *M.DM; }
   static size_t numFunctions(const Machine &M) { return M.M.numFunctions(); }
-  static uint64_t call(Machine &M, FuncId F, size_t ArgBase, size_t NArgs) {
-    return M.callDecodedDyn(F, ArgBase, NArgs);
+  static uint64_t call(Machine &M, FuncId F, size_t CallerBase,
+                       const Reg *ArgRegs, size_t NArgs) {
+    return M.callDecodedDyn(F, CallerBase, ArgRegs, NArgs);
   }
-  static size_t &callDepth(Machine &M) { return M.CallDepth; }
-  static const InterpOptions &opts(const Machine &M) { return M.Opts; }
   static bool profiled(const Machine &M) { return M.Prof != nullptr; }
   static JitProgram *jp(Machine &M) { return M.JP.get(); }
-  static bool frameBudget(Machine &M, size_t FrameSize) {
-    return M.checkFrameBudget(FrameSize);
+  using Frame = Machine::Frame;
+  static bool enterFrame(Machine &M, const DecodedFunction &DF,
+                         size_t CallerBase, const Reg *ArgRegs, size_t NArgs,
+                         Frame &F) {
+    return M.enterFrame(DF, CallerBase, ArgRegs, NArgs, F);
   }
-  static bool deadline(Machine &M) { return M.checkWallDeadline(); }
+  static void leaveFrame(Machine &M, const DecodedFunction &DF,
+                         const Frame &F) {
+    M.leaveFrame(DF, F);
+  }
+  static uint64_t stepStop(const Machine &M, uint64_t Total) {
+    return M.stepStop(Total);
+  }
+  static uint64_t stepSlow(Machine &M, uint64_t Total) {
+    return M.stepSlow(Total);
+  }
   static void settle(Machine &M, FuncId F, uint32_t At) {
     M.settleSegment(M.DM->Funcs[F], At, /*Include=*/true);
   }
@@ -84,9 +95,11 @@ struct JitPair {
 
 /// Refreshes the cells the emitted code rebases from after a call: the
 /// arenas and the heap/stack segments may have reallocated (malloc, callee
-/// frames), and the callee may have faulted.
+/// frames), the callee may have faulted, and C++ frames advanced Total
+/// without moving the Stop cell.
 void syncAfterCall(JitRT *RT, Machine &M) {
   RT->TotalCell = JitBridge::counters(M).Total;
+  RT->StopCell = JitBridge::stepStop(M, RT->TotalCell);
   RT->RegArenaData = JitBridge::regArena(M).data();
   RT->StackData = JitBridge::stackMem(M).data();
   RT->HeapData = JitBridge::heapMem(M).data();
@@ -134,17 +147,15 @@ extern "C" uint64_t rpccJitFpToInt(double V) {
 }
 
 /// Direct native-to-native invocation: when the callee has a body, is
-/// already compiled, and profiling is off, the frame is built right here —
-/// arguments copy straight from the caller's register window into the
-/// callee's, skipping the ArgArena staging the generic path needs, and the
-/// step counter never leaves JitRT::TotalCell (every consumer on this path
-/// reads the cell; Machine::Counters.Total is resynchronized by whichever
-/// boundary next needs it — the generic call shim on the way into a
-/// builtin/declined/uncompiled callee, or the top-level execJit on return).
-/// The guard order — pending fault, depth, frame budget, deadline — is
-/// exactly callDecoded + execJit's, so every fault lands at the same
-/// counting point with the same message. Returns false to route the call
-/// through the generic path (which also performs lazy compilation).
+/// already compiled, and profiling is off, the frame comes straight from
+/// the Machine's frame routine — the guards in the interpreters' order,
+/// then arguments copied from the caller's register window into the
+/// callee's — and the step counter never leaves JitRT::TotalCell (every
+/// consumer on this path reads the cell; Machine::Counters.Total is
+/// resynchronized by whichever boundary next needs it — the generic call
+/// shim on the way into a builtin/declined/uncompiled callee, or runJit on
+/// return). Returns false to route the call through the generic path
+/// (which also performs lazy compilation).
 bool jitCallFast(JitRT *RT, uint64_t Callee, uint64_t ArgPoolOff,
                  uint64_t NArgs, const uint64_t *R, uint64_t *Out) {
   Machine &M = *RT->M;
@@ -154,58 +165,36 @@ bool jitCallFast(JitRT *RT, uint64_t Callee, uint64_t ArgPoolOff,
   if (!DF.HasBody || JitBridge::profiled(M) ||
       !(E = JP->entry(static_cast<FuncId>(Callee))))
     return false;
-  if (JitBridge::err(M).Active) { // unreachable from emitted code, but the
-    *Out = 0;                     // generic path guards it, so mirror it
-    RT->FaultCell = 1;
-    return true;
-  }
-  if (++JitBridge::callDepth(M) > JitBridge::opts(M).MaxCallDepth) {
-    JitBridge::err(M).raise("call depth limit exceeded (runaway recursion?)");
-    --JitBridge::callDepth(M);
-    RT->FaultCell = 1;
-    *Out = 0;
-    return true;
-  }
-  if (JitBridge::frameBudget(M, DF.FrameSize) || JitBridge::deadline(M)) {
-    --JitBridge::callDepth(M);
-    RT->FaultCell = 1;
-    *Out = 0;
-    return true;
-  }
-  std::vector<uint8_t> &SM = JitBridge::stackMem(M);
-  std::vector<uint64_t> &RA = JitBridge::regArena(M);
-  const size_t FrameOff = SM.size();
-  SM.resize(FrameOff + DF.FrameSize, 0);
-  // The caller's window survives as an index: growing RegArena may move it.
-  const size_t CallerBase = static_cast<size_t>(R - RA.data());
-  const size_t RegBase = RA.size();
-  RA.resize(RegBase + DF.NumRegs, 0);
+  FrameArena<uint64_t> &RA = JitBridge::regArena(M);
   const Reg *ArgRegs =
       JitBridge::dm(M).Funcs[RT->CurFn].ArgPool.data() + ArgPoolOff;
-  {
-    uint64_t *Dst = RA.data() + RegBase;
-    const uint64_t *Src = RA.data() + CallerBase;
-    const size_t NParams = DF.ParamRegs.size();
-    for (size_t I = 0; I != NArgs && I != NParams; ++I)
-      Dst[DF.ParamRegs[I]] = Src[ArgRegs[I]];
+  JitBridge::Frame F;
+  *Out = 0;
+  if (!JitBridge::enterFrame(M, DF, static_cast<size_t>(R - RA.data()),
+                             ArgRegs, NArgs, F)) {
+    RT->FaultCell = 1;
+    return true;
   }
+  FrameArena<uint8_t> &SM = JitBridge::stackMem(M);
   RT->RegArenaData = RA.data();
   RT->StackData = SM.data();
   RT->StackSize = SM.size();
-  const uint64_t V = E(RT, RegBase, FrameOff);
-  // Shrinking never reallocates, so the data cells stay valid; only the
+  *Out = E(RT, F.RegBase, F.FrameOff);
+  // Popping never reallocates, so the data cells stay valid; only the
   // stack bound and the fault flag (the callee may have raised through a
   // stub, which bypasses syncAfterCall) need refreshing. The heap cells
   // are current: every path that can move the heap runs syncAfterCall.
-  SM.resize(FrameOff);
-  RA.resize(RegBase);
-  RT->StackSize = FrameOff;
+  JitBridge::leaveFrame(M, DF, F);
+  RT->StackSize = F.FrameOff;
   RT->FaultCell = JitBridge::err(M).Active;
-  --JitBridge::callDepth(M);
-  *Out = V;
   return true;
 }
 
+/// Native calls: the direct path when it applies, else the generic one —
+/// Total crosses back into the Machine, callDecoded runs the callee
+/// (builtin, fast-path body, or a jit entry compiled on demand) with the
+/// arguments read from the caller's register window, and the cells are
+/// refreshed.
 extern "C" uint64_t rpccJitCall(JitRT *RT, uint64_t Callee,
                                 uint64_t ArgPoolOff, uint64_t NArgs,
                                 const uint64_t *R) {
@@ -216,14 +205,11 @@ extern "C" uint64_t rpccJitCall(JitRT *RT, uint64_t Callee,
   JitBridge::counters(M).Total = RT->TotalCell;
   const Reg *ArgRegs =
       JitBridge::dm(M).Funcs[RT->CurFn].ArgPool.data() + ArgPoolOff;
-  std::vector<uint64_t> &AA = JitBridge::argArena(M);
-  const size_t AB = AA.size();
-  AA.resize(AB + NArgs);
-  for (uint64_t I = 0; I != NArgs; ++I)
-    AA[AB + I] = R[ArgRegs[I]];
-  uint64_t V = JitBridge::call(M, static_cast<FuncId>(Callee), AB,
-                               static_cast<size_t>(NArgs));
-  AA.resize(AB);
+  const size_t CallerBase =
+      static_cast<size_t>(R - JitBridge::regArena(M).data());
+  const uint64_t V = JitBridge::call(M, static_cast<FuncId>(Callee),
+                                     CallerBase, ArgRegs,
+                                     static_cast<size_t>(NArgs));
   syncAfterCall(RT, M);
   return V;
 }
@@ -231,37 +217,24 @@ extern "C" uint64_t rpccJitCall(JitRT *RT, uint64_t Callee,
 extern "C" uint64_t rpccJitCallInd(JitRT *RT, uint64_t Target,
                                    uint64_t ArgPoolOff, uint64_t NArgs,
                                    const uint64_t *R) {
-  Machine &M = *RT->M;
-  JitBridge::counters(M).Total = RT->TotalCell;
   if (Target < InterpFuncBase ||
-      (Target & ~InterpFuncBase) >= JitBridge::numFunctions(M)) {
-    JitBridge::err(M).raise("indirect call through a non-function value");
+      (Target & ~InterpFuncBase) >= JitBridge::numFunctions(*RT->M)) {
+    JitBridge::err(*RT->M).raise("indirect call through a non-function value");
     RT->FaultCell = 1;
     return 0;
   }
-  uint64_t Out;
-  if (jitCallFast(RT, Target & ~InterpFuncBase, ArgPoolOff, NArgs, R, &Out))
-    return Out;
-  const Reg *ArgRegs =
-      JitBridge::dm(M).Funcs[RT->CurFn].ArgPool.data() + ArgPoolOff;
-  std::vector<uint64_t> &AA = JitBridge::argArena(M);
-  const size_t AB = AA.size();
-  AA.resize(AB + NArgs);
-  for (uint64_t I = 0; I != NArgs; ++I)
-    AA[AB + I] = R[ArgRegs[I]];
-  uint64_t V = JitBridge::call(M, static_cast<FuncId>(Target & ~InterpFuncBase),
-                               AB, static_cast<size_t>(NArgs));
-  AA.resize(AB);
-  syncAfterCall(RT, M);
-  return V;
+  return rpccJitCall(RT, Target & ~InterpFuncBase, ArgPoolOff, NArgs, R);
 }
 
-extern "C" uint64_t rpccJitDeadline(JitRT *RT) {
-  return JitBridge::deadline(*RT->M);
-}
-
-extern "C" void rpccJitStepLimit(JitRT *RT) {
-  JitBridge::err(*RT->M).raise("step limit exceeded (infinite loop?)");
+/// The step stub's shim: the fast path's cold step check on Total \p T.
+/// Returns nonzero after raising a step-limit or deadline fault; otherwise
+/// moves the Stop cell on.
+extern "C" uint64_t rpccJitStepSlow(JitRT *RT, uint64_t T) {
+  const uint64_t Stop = JitBridge::stepSlow(*RT->M, T);
+  if (!Stop)
+    return 1;
+  RT->StopCell = Stop;
+  return 0;
 }
 
 extern "C" void rpccJitFault(JitRT *RT, uint64_t MsgIdx) {
@@ -298,8 +271,7 @@ void rpcc::initJitRuntime(JitRT &RT, Machine *M) {
   RT.HelpFpToInt = reinterpret_cast<const void *>(&rpccJitFpToInt);
   RT.HelpCall = reinterpret_cast<const void *>(&rpccJitCall);
   RT.HelpCallInd = reinterpret_cast<const void *>(&rpccJitCallInd);
-  RT.HelpDeadline = reinterpret_cast<const void *>(&rpccJitDeadline);
-  RT.HelpStepLimit = reinterpret_cast<const void *>(&rpccJitStepLimit);
+  RT.HelpStepSlow = reinterpret_cast<const void *>(&rpccJitStepSlow);
   RT.HelpFault = reinterpret_cast<const void *>(&rpccJitFault);
   RT.HelpProfile = reinterpret_cast<const void *>(&rpccJitProfile);
   RT.HelpFlushCounters = reinterpret_cast<const void *>(&rpccJitFlushCounters);

@@ -61,6 +61,12 @@ add_test(NAME cli_deep_nesting
                  -DWORK_DIR=${CMAKE_CURRENT_BINARY_DIR}/cli_deep_nesting
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/DeepNesting.cmake)
 
+# Out-of-range numeric literals are diagnosed compile errors, not aborts.
+add_test(NAME cli_literal_range
+         COMMAND ${CMAKE_COMMAND} -DRPCC_BIN=${RPCC_BIN}
+                 -DWORK_DIR=${CMAKE_CURRENT_BINARY_DIR}/cli_literal_range
+                 -P ${CMAKE_CURRENT_SOURCE_DIR}/LiteralRange.cmake)
+
 add_test(NAME cli_bad_file COMMAND ${RPCC_BIN} /nonexistent.c)
 set_tests_properties(cli_bad_file PROPERTIES WILL_FAIL TRUE)
 

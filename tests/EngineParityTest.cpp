@@ -16,6 +16,7 @@
 #include "frontend/Lowering.h"
 #include "fuzz/ProgramGenerator.h"
 #include "interp/Interpreter.h"
+#include "ir/ILParser.h"
 #include "obs/TagProfile.h"
 
 #include <gtest/gtest.h>
@@ -321,6 +322,201 @@ TEST(EngineParityTest, FusedPairStepLimitSweepMatches) {
       "  }\n"
       "  return s; }");
   expectStepLimitSweepParity(M, 1, 160, "fused-pair");
+}
+
+// -- Segment edges --------------------------------------------------------------
+// Every load and store of every engine goes through one address decoder:
+// inline range tests against the global, stack and heap segments, with the
+// fault raised out of line. Each case below is one access at an edge: the
+// last in-bounds I8 and I64 of each segment, the first byte past it, an I64
+// straddling the end, addresses between the segments, a function address
+// and null, each as a plain Load/Store and as the fused AddLoad/AddStore.
+
+struct EdgeCase {
+  const char *Name;
+  const char *Globals; ///< file-scope declarations
+  const char *Locals;  ///< main's declarations
+  const char *Type;    ///< element type of the pointer
+  const char *Base;    ///< pointer expression
+  int Index;
+  const char *Fault; ///< the fault every engine must raise; null when none
+};
+
+const EdgeCase EdgeCases[] = {
+    {"global i64 last", "int G[4];", "", "int", "G", 3, nullptr},
+    {"global i64 past", "int G[4];", "", "int", "G", 4,
+     "global access out of bounds"},
+    {"global i8 last", "char C[8];", "", "char", "C", 7, nullptr},
+    {"global i8 past", "char C[8];", "", "char", "C", 8,
+     "global access out of bounds"},
+    {"global i64 straddle", "char C[8];", "", "int", "(int *)(C + 1)", 0,
+     "global access out of bounds"},
+    {"stack i64 last", "", "int L[4];", "int", "L", 3, nullptr},
+    {"stack i64 past", "", "int L[4];", "int", "L", 4,
+     "stack access out of bounds"},
+    {"stack i8 last", "", "char B[8];", "char", "B", 7, nullptr},
+    {"stack i8 past", "", "char B[8];", "char", "B", 8,
+     "stack access out of bounds"},
+    {"heap i64 last", "", "", "int", "(int *)malloc(32)", 3, nullptr},
+    {"heap i64 past", "", "", "int", "(int *)malloc(32)", 4,
+     "heap access out of bounds at +32"},
+    {"heap i8 last", "", "", "char", "(char *)malloc(8)", 7, nullptr},
+    {"heap i8 past", "", "", "char", "(char *)malloc(8)", 8,
+     "heap access out of bounds at +8"},
+    {"heap i64 straddle", "", "", "int", "(int *)((char *)malloc(8) + 4)", 0,
+     "heap access out of bounds at +4"},
+    // 2^40 lies past the global image, 2^44 + 2^40 past the stack.
+    {"between global and stack", "", "", "int", "(int *)1099511627776", 0,
+     "global access out of bounds"},
+    {"between stack and heap", "", "", "int", "(int *)18691697672192", 0,
+     "stack access out of bounds"},
+    {"function address", "", "", "int", "(int *)9151314442816847872", 0,
+     "memory access to a function address"},
+    {"null", "", "", "int", "(int *)0", 0,
+     "null or invalid pointer dereference (address 0)"},
+};
+
+/// One access to element \p E.Index of \p E.Base: the fused form indexes
+/// in the load or store itself (Add then Load/Store), the plain form
+/// advances the pointer two statements earlier.
+std::string edgeProgram(const EdgeCase &E, bool Store, bool Fused) {
+  std::string Ty = E.Type;
+  std::string Src = std::string(E.Globals) + "\nint main() { " + E.Locals +
+                    " " + Ty + " *p; int i; int t; p = " + E.Base +
+                    "; i = " + std::to_string(E.Index) + "; t = 5;\n";
+  if (Fused)
+    Src += Store ? "  p[i] = t; return 0; }" : "  return p[i]; }";
+  else
+    Src += Store ? "  p = p + i; t = t + 1; *p = t; return 0; }"
+                 : "  p = p + i; t = t + 1; return *p + t; }";
+  return Src;
+}
+
+TEST(EngineParityTest, SegmentEdgeAccessesMatch) {
+  // All engines share the decoder, so parity alone cannot catch an edge
+  // it gets wrong: the reference run must also fault exactly as listed.
+  for (const EdgeCase &E : EdgeCases)
+    for (bool Store : {false, true})
+      for (bool Fused : {false, true}) {
+        const std::string What = std::string(E.Name) +
+                                 (Store ? " store" : " load") +
+                                 (Fused ? " fused" : " plain");
+        Module M = compileOrDie(edgeProgram(E, Store, Fused));
+        InterpOptions Ref;
+        Ref.Engine = InterpEngine::Switch;
+        ExecResult R = interpret(M, Ref);
+        EXPECT_EQ(R.Ok, E.Fault == nullptr) << What << ": " << R.Error;
+        EXPECT_EQ(R.Error, E.Fault ? E.Fault : "") << What;
+        expectParityBothProfiles(M, What);
+      }
+}
+
+// -- Faults in nested frames ----------------------------------------------------
+// Every frame of the fast engines comes from one frame routine. A fault
+// three frames down must settle the innermost segment and unwind every
+// frame above it, leaving the counters the switch engine has.
+
+/// main loops over f1 -> f2 -> f3; f3 indexes A and divides.
+const char *ThreeDeepSrc =
+    "int A[4];\n"
+    "int f3(int i, int d) { int v; v = A[i]; return v / d + v % d; }\n"
+    "int f2(int i, int d) { int s; s = f3(i, d); return s + 1; }\n"
+    "int f1(int i, int d) { int s; s = f2(i, d); return s * 2; }\n"
+    "int main() { int k; int s; s = 0;\n"
+    "  for (k = 0; k < 8; k++) { A[k % 4] = k; s = s + f1(IDX, DIV); }\n"
+    "  return s; }";
+
+std::string threeDeep(const std::string &Idx, const std::string &Div) {
+  std::string S = ThreeDeepSrc;
+  S.replace(S.find("IDX"), 3, Idx);
+  S.replace(S.find("DIV"), 3, Div);
+  return S;
+}
+
+TEST(EngineParityTest, FaultsThreeFramesDeepMatch) {
+  // A completed run, a memory fault in iteration 5, a division by zero in
+  // iteration 3 (the remainder's operands are the same).
+  const std::pair<const char *, const char *> Cases[] = {
+      {"k % 4", "k + 1"}, {"k * 100000 / 5", "k + 1"}, {"k % 4", "3 - k"}};
+  for (const auto &[Idx, Div] : Cases) {
+    Module M = compileOrDie(threeDeep(Idx, Div));
+    expectParityBothProfiles(M, std::string("three deep ") + Idx + ", " + Div);
+    CompilerConfig Cfg;
+    CompileOutput Out = compileProgram(threeDeep(Idx, Div), Cfg);
+    ASSERT_TRUE(Out.Ok) << Out.Errors;
+    expectParityBothProfiles(*Out.M,
+                             std::string("compiled three deep ") + Idx);
+  }
+}
+
+TEST(EngineParityTest, DecodeTimeFaultThreeFramesDeepMatches) {
+  // g has no storage, so f3's scalar load decodes to a Fault record.
+  Module M;
+  std::string Err;
+  ASSERT_TRUE(parseModule("tag g kind=global size=8 val=i64 scalar\n"
+                          "func f3(r0:i64) -> i64 {\n"
+                          "B0:\n"
+                          "  r1 <- LOADI 1\n"
+                          "  r0 <- ADD r0, r1\n"
+                          "  r2 <- SLD [g]\n"
+                          "  r0 <- ADD r0, r2\n"
+                          "  RET r0\n"
+                          "}\n"
+                          "func f2(r0:i64) -> i64 {\n"
+                          "B0:\n"
+                          "  r0 <- JSR f3(r0) mod{} ref{}\n"
+                          "  RET r0\n"
+                          "}\n"
+                          "func f1(r0:i64) -> i64 {\n"
+                          "B0:\n"
+                          "  r1 <- LOADI 2\n"
+                          "  r0 <- JSR f2(r0) mod{} ref{}\n"
+                          "  r0 <- MUL r0, r1\n"
+                          "  RET r0\n"
+                          "}\n"
+                          "func main() -> i64 {\n"
+                          "B0:\n"
+                          "  r0 <- LOADI 5\n"
+                          "  r0 <- JSR f1(r0) mod{} ref{}\n"
+                          "  RET r0\n"
+                          "}\n",
+                          M, Err))
+      << Err;
+  expectParity(M, InterpOptions{}, "decode-time fault three deep");
+}
+
+TEST(EngineParityTest, FrameEntryBudgetFaultsInCallLoopMatch) {
+  // Call depth and frame bytes both run out at a frame entry partway
+  // through a loop of calls; every limit up to the frames the program
+  // needs puts the fault at a different entry.
+  Module M = compileOrDie(
+      "int down(int n) { int a[4]; a[0] = n; if (n > 0) return down(n - 1)"
+      " + a[0]; return 0; }\n"
+      "int main() { int k; int s; s = 0;\n"
+      "  for (k = 0; k < 6; k++) s = s + down(k); return s; }");
+  for (size_t Depth = 1; Depth <= 7; ++Depth) {
+    InterpOptions O;
+    O.MaxCallDepth = Depth;
+    expectParity(M, O, "call depth " + std::to_string(Depth));
+  }
+  for (size_t Bytes = 0; Bytes <= 6 * 32; Bytes += 16) {
+    InterpOptions O;
+    O.MaxFrameBytes = Bytes;
+    expectParity(M, O, "frame bytes " + std::to_string(Bytes));
+  }
+}
+
+// -- Step compare after a C++ call ---------------------------------------------
+// Builtins keep the C++ call path; the fast path recomputes its Stop after
+// every such call. A window of limits around the 65,536th step, in a loop
+// that calls sqrt, cuts the run just before, at and after the poll.
+TEST(EngineParityTest, BuiltinCallStepLimitWindowMatches) {
+  Module M = compileOrDie("float x;\n"
+                          "int main() { int i; x = 2.0;\n"
+                          "  for (i = 0; i < 1000000; i++) x = sqrt(x + 1.0);\n"
+                          "  return (int)x; }");
+  expectStepLimitSweepParity(M, 65536 - 12, 65536 + 12, "builtin window",
+                             /*WallDeadlineMs=*/1e9);
 }
 
 } // namespace

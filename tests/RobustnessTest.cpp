@@ -265,10 +265,12 @@ void expectSameCounters(const ExecResult &A, const ExecResult &B,
   }
 }
 
-/// The counters of a run the wall-deadline poll stopped agree with each
-/// other: per-opcode, per-function and load/store counts all describe the
-/// same steps, and Total counts one more, the step the poll stopped.
-void expectDeadlineCounters(const ExecResult &R, const std::string &What) {
+/// The counters of a run the wall deadline stopped agree with each other:
+/// per-opcode, per-function and load/store counts all describe the same
+/// steps, and Total counts \p Stopped more: 1 for the step the poll
+/// stopped, 0 when the deadline struck at a frame entry.
+void expectDeadlineCounters(const ExecResult &R, const std::string &What,
+                            uint64_t Stopped = 1) {
   uint64_t ByOp = 0, Loads = 0, Stores = 0;
   for (size_t Op = 0; Op != NumOpcodes; ++Op) {
     ByOp += R.Counters.ByOpcode[Op];
@@ -283,7 +285,7 @@ void expectDeadlineCounters(const ExecResult &R, const std::string &What) {
     FnLoads += FC.Loads;
     FnStores += FC.Stores;
   }
-  EXPECT_EQ(R.Counters.Total, ByOp + 1) << What;
+  EXPECT_EQ(R.Counters.Total, ByOp + Stopped) << What;
   EXPECT_EQ(FnTotal, ByOp) << What;
   EXPECT_EQ(R.Counters.Loads, Loads) << What;
   EXPECT_EQ(R.Counters.Stores, Stores) << What;
@@ -359,6 +361,36 @@ TEST(InterpBudgetTest, WallDeadlineFaultsBothEngines) {
     EXPECT_EQ(A.Error, B.Error) << interpEngineName(E);
     EXPECT_GT(B.Counters.Total, 0u) << interpEngineName(E);
     expectDeadlineCounters(B, interpEngineName(E));
+  }
+}
+
+TEST(InterpBudgetTest, WallDeadlineAtFrameEntryInCallLoop) {
+  // A loop of calls checks the deadline at every frame entry, so the run
+  // almost always ends at such an entry, where no step is in flight,
+  // rather than at one of the rare 64K polls. Either way the counters
+  // must agree.
+  Module M;
+  std::string Err;
+  ASSERT_TRUE(compileToIL("int one(int x) { return x + 1; }\n"
+                          "int main() { int i; int s; s = 0;\n"
+                          "  for (i = 0; i < 1000000000; i++) s = one(s);\n"
+                          "  return s; }",
+                          M, Err));
+  InterpOptions Opts;
+  Opts.WallDeadlineMs = 1;
+  std::vector<InterpEngine> Engines = fastEngines();
+  Engines.push_back(InterpEngine::Switch);
+  for (InterpEngine E : Engines) {
+    ExecResult R = runEngine(M, Opts, E);
+    EXPECT_FALSE(R.Ok) << interpEngineName(E);
+    EXPECT_NE(R.Error.find("wall-clock deadline"), std::string::npos)
+        << R.Error;
+    EXPECT_GT(R.Counters.Total, 0u) << interpEngineName(E);
+    uint64_t ByOp = 0;
+    for (uint64_t N : R.Counters.ByOpcode)
+      ByOp += N;
+    expectDeadlineCounters(R, interpEngineName(E), R.Counters.Total - ByOp);
+    EXPECT_LE(R.Counters.Total - ByOp, 1u) << interpEngineName(E);
   }
 }
 

@@ -347,6 +347,30 @@ TEST_F(ServedSocketTest, DeeplyNestedSourceIsAnErrorEnvelope) {
   EXPECT_EQ(R.Status, 200);
 }
 
+// Literals past what their type holds are diagnosed by the lexer; a
+// conversion that threw would surface as an HTTP 500 internal error.
+TEST_F(ServedSocketTest, OutOfRangeLiteralsAreErrorEnvelopes) {
+  startServer(ServerOptions());
+  HttpClient C;
+  ASSERT_TRUE(connectClient(C));
+  const std::pair<const char *, const char *> Cases[] = {
+      {"int main(){return 99999999999999999999;}",
+       "integer literal out of range"},
+      {"int main(){float f; f = 1e999; return 0;}",
+       "floating literal out of range"},
+  };
+  HttpClientResponse R;
+  for (const auto &[Src, Diag] : Cases) {
+    ASSERT_TRUE(C.request("POST", "/compile", compileBody(Src), R));
+    EXPECT_EQ(R.Status, 200) << Src;
+    EXPECT_NE(R.Body.find("\"status\":\"error\""), std::string::npos)
+        << R.Body;
+    EXPECT_NE(R.Body.find(Diag), std::string::npos) << R.Body;
+  }
+  ASSERT_TRUE(C.request("GET", "/healthz", "", R));
+  EXPECT_EQ(R.Status, 200);
+}
+
 TEST_F(ServedSocketTest, RoutingErrors) {
   startServer(ServerOptions());
   HttpClient C;
