@@ -58,7 +58,11 @@ struct Sample {
 /// machine — every perturbation (preemption, interrupt) only adds time.
 /// Short programs finish in microseconds, so --reps is scaled up until the
 /// repeated runs cover at least MinTotalMs per engine and the minimum has a
-/// real chance of being an unperturbed run. Dies if any run faults or the
+/// real chance of being an unperturbed run. The count is sized from the
+/// first timed run, not the warmup: the jit's warmup also compiles, which
+/// for a short program costs many runs' worth of time and would leave the
+/// jit a few hundred samples in a couple of milliseconds, where one host
+/// hiccup lands on all of them. Dies if any run faults or the
 /// engines ever disagree on step counts — a benchmark over diverging
 /// engines would be measuring a bug.
 constexpr double MinTotalMs = 60.0;
@@ -71,7 +75,6 @@ Sample measure(const std::string &Name, Module &M, InterpEngine E,
   Sample S;
   S.Program = Name;
   S.Engine = E;
-  S.BestMs = 1e300;
 
   auto runOnce = [&](bool Warmup) -> double {
     double T0 = timingNowMs();
@@ -94,15 +97,17 @@ Sample measure(const std::string &Name, Module &M, InterpEngine E,
     return Ms;
   };
 
-  // Warmup run: pages in the simulated memory images and calibrates how
-  // many repetitions MinTotalMs buys.
-  double WarmMs = runOnce(/*Warmup=*/true);
-  double PerRun = WarmMs > 1e-6 ? WarmMs : 1e-6;
+  // Warmup run: pages in the simulated memory images and pays any lazy
+  // compilation. The first timed run then calibrates how many repetitions
+  // MinTotalMs buys, and counts as one of them.
+  runOnce(/*Warmup=*/true);
+  S.BestMs = runOnce(/*Warmup=*/false);
+  double PerRun = S.BestMs > 1e-6 ? S.BestMs : 1e-6;
   unsigned N = Reps;
   if (PerRun * Reps < MinTotalMs)
     N = static_cast<unsigned>(MinTotalMs / PerRun) + 1;
 
-  for (unsigned R = 0; R != N; ++R) {
+  for (unsigned R = 1; R < N; ++R) {
     double Ms = runOnce(/*Warmup=*/false);
     if (Ms < S.BestMs)
       S.BestMs = Ms;

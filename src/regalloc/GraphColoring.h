@@ -15,6 +15,13 @@
 /// allocator spills — reproducing the paper's `water` anecdote, where
 /// twenty-eight promoted values caused enough spilling to lose.
 ///
+/// Each round builds one flat bit-matrix graph (regalloc/Liverange.h) into
+/// storage that one call keeps for all its rounds and functions, walks
+/// neighbors straight off the matrix rows masked by register class, takes
+/// optimistic-spill picks from one (cost, register)-sorted list, and
+/// rewrites every spilled register in one walk of the function. The IL it
+/// produces is pinned byte for byte by tests/golden/regalloc_il.txt.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPCC_REGALLOC_GRAPHCOLORING_H
