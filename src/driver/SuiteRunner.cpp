@@ -10,9 +10,13 @@
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include <cassert>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 
 using namespace rpcc;
@@ -23,12 +27,72 @@ using namespace rpcc;
 
 namespace {
 
+/// Run sharing among one program's four matrix cells. interpret() is a
+/// deterministic function of the module and its options, so a cell whose
+/// compiled module is identical (identicalModules) to an earlier cell's
+/// does not run: it copies that cell's run once every cell is done. Cells
+/// decide in matrix order, each against the modules of the earlier cells
+/// that run, so neither the number of runs nor the cells that carry them
+/// depend on thread timing.
+class SharedRuns {
+public:
+  /// Cell \p Cell's decision once it has compiled. \p M is its module, or
+  /// null for a cell that never shares (the profiled one). Returns the
+  /// earliest earlier cell with an identical module, or -1 when the cell
+  /// runs its own; the table then keeps \p M for later cells to compare
+  /// against. Waits for the earlier cells' decisions, which never wait on a
+  /// later cell: parallelFor claims indices in ascending order, so every
+  /// earlier cell is already on a worker, or done.
+  int decide(int Cell, const std::shared_ptr<const Module> &M) {
+    std::unique_lock<std::mutex> L(Mu);
+    for (int I = 0; M && I != Cell && RunOf[Cell] < 0; ++I) {
+      Changed.wait(L, [&] { return Decided[I]; });
+      if (Images[I] && identicalModules(*Images[I], *M))
+        RunOf[Cell] = I;
+    }
+    if (RunOf[Cell] < 0)
+      Images[Cell] = M;
+    Decided[Cell] = true;
+    Changed.notify_all();
+    return RunOf[Cell];
+  }
+
+  /// Ends cell \p Cell, however it ended: a cell that never decided (its
+  /// compile failed, or it threw) leaves no module to compare against, so
+  /// later cells stop waiting for it; the last cell to end releases the
+  /// kept modules.
+  void done(int Cell) {
+    std::lock_guard<std::mutex> L(Mu);
+    if (!Decided[Cell]) {
+      Decided[Cell] = true;
+      Changed.notify_all();
+    }
+    if (++Ended == 4)
+      for (std::shared_ptr<const Module> &M : Images)
+        M.reset();
+  }
+
+  /// Once every cell is done: the cell whose run \p Cell copies, or -1.
+  int runOf(int Cell) const { return RunOf[Cell]; }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Changed;
+  bool Decided[4] = {};
+  int RunOf[4] = {-1, -1, -1, -1};
+  std::shared_ptr<const Module> Images[4];
+  int Ended = 0;
+};
+
 /// Compiles and runs one matrix cell. The cell owns its Module (forked from
 /// \p Cache when caching, built from source when not) and RemarkEngine, so
-/// any number of cells may run on different threads concurrently.
+/// any number of cells may run on different threads concurrently. With
+/// \p Share, a cell whose module repeats an earlier cell's skips the run;
+/// its counts then hold only what its compile produced.
 ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                         int A, int P, const SuiteOptions &Opts,
-                        CompileCache *Cache, TimingReport &Timing) {
+                        CompileCache *Cache, SharedRuns *Share,
+                        TimingReport &Timing) {
   CompilerConfig Cfg;
   Cfg.Analysis = A == 0 ? AnalysisKind::ModRef : AnalysisKind::PointsTo;
   Cfg.ScalarPromotion = P == 1;
@@ -47,17 +111,38 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
     Cfg.Remarks = &Re;
 
   double CellT0 = Opts.Trace ? timingNowMs() : 0;
-  ConfigCounts C;
-  CompileOutput Out =
-      Cache ? Cache->compile(Name, Source, Cfg) : compileProgram(Source, Cfg);
-  if (!Out.Ok) {
-    C.Error = Out.Errors;
-    Timing = std::move(Out.Timing);
+  auto EndSpan = [&] {
     if (Opts.Trace)
       Opts.Trace->addSpan(Cfg.TraceLabel, "cell", CellT0,
                           timingNowMs() - CellT0);
+  };
+  ConfigCounts C;
+  CompileOutput Out =
+      Cache ? Cache->compile(Name, Source, Cfg) : compileProgram(Source, Cfg);
+  Timing = std::move(Out.Timing);
+  if (!Out.Ok) {
+    C.Error = Out.Errors;
+    EndSpan();
     return C;
   }
+  if (Cfg.Remarks) {
+    C.RemarksPromoted = Re.count(RemarkKind::Promoted, Opts.RemarkPass);
+    C.RemarksMissed = Re.count(RemarkKind::Missed, Opts.RemarkPass);
+    C.RemarksHoisted = Re.count(RemarkKind::Hoisted, Opts.RemarkPass);
+    C.RemarksResidual = Re.count(RemarkKind::Residual, Opts.RemarkPass);
+    if (Opts.Remarks) {
+      C.RemarksText = Re.toText(Opts.RemarkPass);
+      C.RemarksJson = Re.toJsonLines({{"program", Name},
+                                      {"cell", suiteCellName(A, P)}});
+    }
+  }
+  std::shared_ptr<Module> M(std::move(Out.M));
+  // The profiled cell's run carries a sink: it neither shares nor is shared.
+  if (Share && Share->decide(A * 2 + P, ProfileThisCell ? nullptr : M) >= 0) {
+    EndSpan();
+    return C;
+  }
+
   ProfileMeta Meta;
   InterpOptions IOpts = Opts.Interp;
   // --no-compile-cache is a whole-pipeline A/B switch: it bypasses the jit's
@@ -65,13 +150,12 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
   // can be diffed against a every-stage-from-scratch run.
   IOpts.JitCodeCache = Opts.UseCompileCache;
   if (ProfileThisCell) {
-    Meta = ProfileMeta::build(*Out.M);
+    Meta = ProfileMeta::build(*M);
     IOpts.Profile = &Meta;
   }
   double T0 = Opts.CollectTiming ? timingNowMs() : 0;
-  ExecResult R = interpret(*Out.M, IOpts);
+  ExecResult R = interpret(*M, IOpts);
   if (Opts.CollectTiming) {
-    Timing = std::move(Out.Timing);
     Timing.InterpMillis = timingNowMs() - T0;
     Timing.InterpSteps = R.Counters.Total;
     Timing.Engine = interpEngineName(IOpts.Engine);
@@ -84,26 +168,13 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
   C.ExitCode = R.ExitCode;
   C.Output = R.Output;
 
-  if (Cfg.Remarks) {
-    C.RemarksPromoted = Re.count(RemarkKind::Promoted, Opts.RemarkPass);
-    C.RemarksMissed = Re.count(RemarkKind::Missed, Opts.RemarkPass);
-    C.RemarksHoisted = Re.count(RemarkKind::Hoisted, Opts.RemarkPass);
-    C.RemarksResidual = Re.count(RemarkKind::Residual, Opts.RemarkPass);
-    if (Opts.Remarks) {
-      C.RemarksText = Re.toText(Opts.RemarkPass);
-      C.RemarksJson = Re.toJsonLines({{"program", Name},
-                                      {"cell", suiteCellName(A, P)}});
-    }
-  }
   if (ProfileThisCell && C.Ok) {
-    C.HotTags = formatHotTagTable(*Out.M, Meta, R.Profile);
+    C.HotTags = formatHotTagTable(*M, Meta, R.Profile);
     C.Explain =
-        formatExplainReport(buildExplainReport(*Out.M, Meta, R.Profile, Re));
-    C.ProfileJson = profileToJson(*Out.M, Meta, R.Profile);
+        formatExplainReport(buildExplainReport(*M, Meta, R.Profile, Re));
+    C.ProfileJson = profileToJson(*M, Meta, R.Profile);
   }
-  if (Opts.Trace)
-    Opts.Trace->addSpan(Cfg.TraceLabel, "cell", CellT0,
-                        timingNowMs() - CellT0);
+  EndSpan();
   return C;
 }
 
@@ -176,10 +247,12 @@ WorkerFault cellFault(const SuiteOptions &Opts, const std::string &Name,
 /// Cell dispatcher: inline execution when the sandbox is off (byte-for-byte
 /// the historic path), otherwise the cell body runs in a forked child and
 /// its ConfigCounts come back over the pipe. A child that crashes, hangs,
-/// or OOMs becomes a classified error cell; the suite keeps going.
+/// or OOMs becomes a classified error cell; the suite keeps going. Only
+/// inline cells share runs (\p Share), since each child compiles on its own.
 ConfigCounts runCell(const std::string &Name, const std::string &Source,
                      int A, int P, const SuiteOptions &Opts,
-                     CompileCache *Cache, TimingReport &Timing) {
+                     CompileCache *Cache, SharedRuns *Share,
+                     TimingReport &Timing) {
   // Parent-side progress tally for the heartbeat, covering the inline and
   // sandboxed paths alike (a dead child still finishes its cell).
   static Counter CellsDone = MetricsRegistry::global().counter(
@@ -196,8 +269,19 @@ ConfigCounts runCell(const std::string &Name, const std::string &Source,
 
   // Inline mode is byte-for-byte the historic path: no job records, no
   // "job" trace spans, nothing the sandbox could perturb.
-  if (!Opts.Sandbox)
-    return runOneCell(Name, Source, A, P, Opts, Cache, Timing);
+  if (!Opts.Sandbox) {
+    // However the cell ends, later cells must not wait on it forever.
+    struct EndCell {
+      SharedRuns *Share;
+      int Cell;
+      ~EndCell() {
+        if (Share)
+          Share->done(Cell);
+      }
+    } End{Share, A * 2 + P};
+    return runOneCell(Name, Source, A, P, Opts, Cache, Share, Timing);
+  }
+  assert(!Share && "sandboxed cells compile standalone and never share");
 
   // The child must not touch cross-thread state forked mid-flight: another
   // worker may hold the compile cache or trace mutex at fork time, and that
@@ -210,7 +294,8 @@ ConfigCounts runCell(const std::string &Name, const std::string &Source,
       [&](std::string &Payload) {
         TimingReport ChildTiming;
         Payload = encodeCounts(runOneCell(Name, Source, A, P, ChildOpts,
-                                          /*Cache=*/nullptr, ChildTiming));
+                                          /*Cache=*/nullptr, /*Share=*/nullptr,
+                                          ChildTiming));
         return true;
       },
       JOpts);
@@ -267,11 +352,72 @@ void applyBaselineChecks(ProgramResults &PR) {
   }
 }
 
-/// Merges the four cells' timing into PR.Timing in fixed matrix order, so
-/// the aggregate is identical no matter which threads ran which cell.
-void mergeCellTimings(ProgramResults &PR, const TimingReport Cells[4]) {
-  for (int Cell = 0; Cell != 4; ++Cell)
-    PR.Timing.merge(Cells[Cell]);
+/// Gives a cell the run of the earlier cell \p From whose module it
+/// repeats: the execution half of the counts, and in the timing the steps
+/// but not the milliseconds, since nothing ran for this cell.
+void copyRun(const ConfigCounts &From, ConfigCounts &To, TimingReport &Timing,
+             const SuiteOptions &Opts) {
+  To.Ok = From.Ok;
+  To.Error = From.Error;
+  To.Total = From.Total;
+  To.Loads = From.Loads;
+  To.Stores = From.Stores;
+  To.ExitCode = From.ExitCode;
+  To.Output = From.Output;
+  if (Opts.CollectTiming) {
+    Timing.InterpSteps = From.Total;
+    Timing.Engine = interpEngineName(Opts.Interp.Engine);
+  }
+}
+
+/// Compiles and runs the 2x2 matrix of every program in \p All whose
+/// source is non-null, one parallelFor item per cell (program-major, matrix
+/// order within a program). With the compile cache on and the sandbox off,
+/// cells whose modules are identical share one run (SharedRuns);
+/// --no-compile-cache compiles and runs every cell from scratch. Timing
+/// merges in fixed matrix order, so every result is identical no matter
+/// which threads ran which cell.
+void runMatrix(std::vector<ProgramResults> &All,
+               const std::vector<const std::string *> &Sources,
+               const SuiteOptions &Opts) {
+  // One cache for all programs: each program's prefix compiles once and
+  // its four cells fork it, whichever workers get there first.
+  std::unique_ptr<CompileCache> Cache;
+  if (Opts.UseCompileCache)
+    Cache = std::make_unique<CompileCache>(
+        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
+  std::unique_ptr<SharedRuns[]> Shares;
+  if (Cache && !Opts.Sandbox)
+    Shares = std::make_unique<SharedRuns[]>(All.size());
+
+  // One job per (program, cell): 56 for the paper's 14x4 matrix. Finer
+  // granularity than per-program keeps all workers busy even when one
+  // program (go, bison) dominates the wall clock.
+  std::vector<TimingReport> CellTiming(All.size() * 4);
+  parallelFor(Opts.Jobs, All.size() * 4, [&](size_t Job) {
+    size_t I = Job / 4;
+    if (!Sources[I])
+      return;
+    int A = static_cast<int>(Job % 4) / 2, P = static_cast<int>(Job % 2);
+    All[I].R[A][P] =
+        runCell(All[I].Name, *Sources[I], A, P, Opts, Cache.get(),
+                Shares ? &Shares[I] : nullptr, CellTiming[Job]);
+  });
+
+  for (size_t I = 0; I != All.size(); ++I) {
+    ProgramResults &PR = All[I];
+    for (int Cell = 0; Cell != 4; ++Cell)
+      if (int From = Shares ? Shares[I].runOf(Cell) : -1; From >= 0)
+        copyRun(PR.R[From / 2][From % 2], PR.R[Cell / 2][Cell % 2],
+                CellTiming[I * 4 + Cell], Opts);
+    if (Opts.CollectTiming) {
+      for (int Cell = 0; Cell != 4; ++Cell)
+        PR.Timing.merge(CellTiming[I * 4 + Cell]);
+      if (Cache)
+        PR.Timing.merge(Cache->sharedTiming(PR.Name));
+    }
+    applyBaselineChecks(PR);
+  }
 }
 
 } // namespace
@@ -279,72 +425,31 @@ void mergeCellTimings(ProgramResults &PR, const TimingReport Cells[4]) {
 ProgramResults rpcc::runAllConfigs(const std::string &Name,
                                    const std::string &Source,
                                    const SuiteOptions &Opts) {
-  ProgramResults PR;
-  PR.Name = Name;
-  std::unique_ptr<CompileCache> Cache;
-  if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>(
-        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
-  TimingReport CellTiming[4];
-  parallelFor(Opts.Jobs, 4, [&](size_t Cell) {
-    int A = static_cast<int>(Cell) / 2, P = static_cast<int>(Cell) % 2;
-    PR.R[A][P] =
-        runCell(Name, Source, A, P, Opts, Cache.get(), CellTiming[Cell]);
-  });
-  if (Opts.CollectTiming) {
-    mergeCellTimings(PR, CellTiming);
-    if (Cache)
-      PR.Timing.merge(Cache->sharedTiming(Name));
-  }
-  applyBaselineChecks(PR);
-  return PR;
+  std::vector<ProgramResults> All(1);
+  All[0].Name = Name;
+  runMatrix(All, {&Source}, Opts);
+  return std::move(All[0]);
 }
 
 std::vector<ProgramResults> rpcc::runSuite(const std::vector<std::string> &Names,
                                            const SuiteOptions &Opts) {
   std::vector<ProgramResults> All(Names.size());
-  std::vector<std::string> Sources(Names.size());
-  std::vector<bool> Loaded(Names.size(), false);
+  std::vector<std::string> Text(Names.size());
+  std::vector<const std::string *> Sources(Names.size(), nullptr);
   for (size_t I = 0; I != Names.size(); ++I) {
     All[I].Name = Names[I];
-    Status S = loadBenchProgram(Names[I], Sources[I]);
-    Loaded[I] = !S.isError();
+    Status S = loadBenchProgram(Names[I], Text[I]);
+    if (!S.isError()) {
+      Sources[I] = &Text[I];
+      continue;
+    }
     // A missing program degrades to four error cells instead of killing the
     // whole suite: the other thirteen programs' figures still matter.
-    if (S.isError())
-      for (int A = 0; A != 2; ++A)
-        for (int P = 0; P != 2; ++P)
-          All[I].R[A][P].Error = S.message();
+    for (int A = 0; A != 2; ++A)
+      for (int P = 0; P != 2; ++P)
+        All[I].R[A][P].Error = S.message();
   }
-
-  // One cache for the whole suite: each program's prefix compiles once and
-  // its four cells fork it, whichever workers get there first.
-  std::unique_ptr<CompileCache> Cache;
-  if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>(
-        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
-
-  // One job per (program, cell): 56 for the paper's 14x4 matrix. Finer
-  // granularity than per-program keeps all workers busy even when one
-  // program (go, bison) dominates the wall clock.
-  std::vector<TimingReport> CellTiming(Names.size() * 4);
-  parallelFor(Opts.Jobs, Names.size() * 4, [&](size_t Job) {
-    size_t I = Job / 4;
-    if (!Loaded[I])
-      return;
-    int A = static_cast<int>(Job % 4) / 2, P = static_cast<int>(Job % 2);
-    All[I].R[A][P] = runCell(Names[I], Sources[I], A, P, Opts, Cache.get(),
-                             CellTiming[Job]);
-  });
-
-  for (size_t I = 0; I != All.size(); ++I) {
-    if (Opts.CollectTiming) {
-      mergeCellTimings(All[I], &CellTiming[I * 4]);
-      if (Cache)
-        All[I].Timing.merge(Cache->sharedTiming(Names[I]));
-    }
-    applyBaselineChecks(All[I]);
-  }
+  runMatrix(All, Sources, Opts);
   return All;
 }
 

@@ -53,19 +53,23 @@ struct SuiteOptions {
   /// When non-null, every cell's compile passes add spans to this shared
   /// collector, labeled "program/analysis+promo".
   TraceCollector *Trace = nullptr;
-  /// Share the configuration-independent pipeline prefix across cells
-  /// through a CompileCache: the frontend runs once per program and each
-  /// alias analysis once per (program, kind); every cell then forks the
-  /// cached analyzed module. Results are byte-identical either way — the
-  /// flag exists for A/B verification (`--no-compile-cache`) and compile-
-  /// time benchmarking.
+  /// Share work across cells. The configuration-independent pipeline
+  /// prefix goes through a CompileCache: the frontend runs once per program
+  /// and each alias analysis once per (program, kind); every cell then
+  /// forks the cached analyzed module. Cells whose compiled modules are
+  /// identical (identicalModules) then share one run: the first in matrix
+  /// order interprets it and the others copy its result (never the profiled
+  /// cell, never sandboxed cells). Results are byte-identical either way —
+  /// the flag exists for A/B verification (`--no-compile-cache`, which
+  /// compiles and runs every cell from scratch) and compile-time
+  /// benchmarking.
   bool UseCompileCache = true;
   /// Run every cell in a forked sandbox (driver/JobRunner): a crashing,
   /// hanging, or OOMing cell becomes a classified table entry instead of
   /// killing the suite. Healthy cells produce byte-identical tables either
   /// way; sandboxed cells do not contribute per-pass timing (the child's
-  /// TimingReport dies with it) and do not share the compile cache (each
-  /// child compiles in its own address space).
+  /// TimingReport dies with it) and share neither the compile cache nor
+  /// runs (each child compiles and runs in its own address space).
   bool Sandbox = false;
   /// Resource caps for sandboxed cells.
   SandboxLimits Limits;
@@ -118,7 +122,9 @@ struct ProgramResults {
   std::string Name;
   ConfigCounts R[2][2];
   /// Aggregate of the four cells' pass timings (cells merged in matrix
-  /// order); empty unless SuiteOptions::CollectTiming.
+  /// order); empty unless SuiteOptions::CollectTiming. InterpSteps sums
+  /// every cell's steps; InterpMillis only the runs that executed, so a
+  /// cell that shared another cell's run adds no interpreter time.
   TimingReport Timing;
 };
 

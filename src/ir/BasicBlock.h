@@ -10,6 +10,7 @@
 
 #include "ir/Instruction.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,8 +50,12 @@ public:
     return It->get();
   }
 
-  void eraseAt(size_t Idx) {
-    Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
+  /// Drops the instructions whose slots a pass has reset to null, keeping
+  /// the rest in order. Passes that delete reset the slots as they go and
+  /// compact once: erasing one at a time shifts the tail each time, which
+  /// is quadratic on a long block.
+  void removeErased() {
+    Insts.erase(std::remove(Insts.begin(), Insts.end(), nullptr), Insts.end());
   }
 
   /// The block terminator, or nullptr for a block still under construction.

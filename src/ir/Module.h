@@ -84,6 +84,21 @@ private:
   std::vector<GlobalInit> Globals;
 };
 
+/// True when \p A and \p B are the same program, field for field: every
+/// function (name, builtin kind, register count and types, parameter
+/// registers, return shape, function tag, and its blocks with their names
+/// and every instruction field, tag sets and call summaries included), the
+/// whole tag table, and the global initializers. Floating immediates compare
+/// by bit pattern. Only derived state is skipped: block predecessor and
+/// successor lists and the name and owner indexes, which follow from the
+/// compared fields.
+///
+/// Everything printModule prints is compared, so identical modules print
+/// identically; and interpret() reads nothing else, so it gives identical
+/// results on them. One pass over both modules, stopping at the first
+/// difference: far cheaper than printing them.
+bool identicalModules(const Module &A, const Module &B);
+
 } // namespace rpcc
 
 #endif // RPCC_IR_MODULE_H

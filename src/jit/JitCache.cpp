@@ -1,9 +1,10 @@
 //===- jit/JitCache.cpp - Process-wide cache of compiled programs ---------===//
 //
 // Maps the *content* of a decoded module to its lazily-compiled JitProgram,
-// so repeated executions of byte-identical programs — suite cells that
-// optimize to the same final IL, fuzz reruns, A/B legs — share machine code
-// and stop paying emission cost. The key hashes everything the emitter can
+// so repeated executions of byte-identical programs — a suite program run
+// again in the same process (one suite run already interprets cells with
+// identical modules once), fuzz reruns, A/B legs — share machine code and
+// stop paying emission cost. The key hashes everything the emitter can
 // bake into code or branch on at compile time: every function's instruction
 // stream and pools, the frame/register geometry, the global image *size*
 // (addresses and bounds checks embed it), and the profiled flag (profiling

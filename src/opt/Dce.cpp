@@ -32,14 +32,20 @@ unsigned rpcc::runDce(Function &F) {
     Changed = false;
     for (auto &B : F.blocks()) {
       auto &Insts = B->insts();
+      bool Erased = false;
+      // Backward, so the slots reset below all lie behind the cursor.
       for (size_t Idx = Insts.size(); Idx-- > 0;) {
         Instruction &I = *Insts[Idx];
         if (!isRemovable(I) || UseCount[I.Result] != 0)
           continue;
         for (Reg R : I.Ops)
           --UseCount[R];
-        B->eraseAt(Idx);
+        Insts[Idx].reset();
+        Erased = true;
         ++Removed;
+      }
+      if (Erased) {
+        B->removeErased();
         Changed = true;
       }
     }

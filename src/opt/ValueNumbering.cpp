@@ -118,8 +118,12 @@ public:
     ToErase.clear();
     for (size_t Idx = 0; Idx != B.size(); ++Idx)
       visit(B, Idx, ToErase);
-    for (auto It = ToErase.rbegin(); It != ToErase.rend(); ++It)
-      B.eraseAt(*It);
+    // Dead stores of different tags are found out of block order, so the
+    // indices are unsorted: reset them all, then compact once.
+    for (size_t Idx : ToErase)
+      B.insts()[Idx].reset();
+    if (!ToErase.empty())
+      B.removeErased();
   }
 
 private:

@@ -93,7 +93,10 @@ private:
 /// calling thread — no threads are created, so serial behavior is exactly
 /// the plain for-loop. With more workers, indices are claimed from an atomic
 /// counter; every index runs exactly once, but in no particular order, so
-/// Body must write results only into its own index's slot. If a body throws,
+/// Body must write results only into its own index's slot. Claims are in
+/// ascending order and a claimed index runs at once, so a body may wait for
+/// a lower index's body to make progress (never for a higher one's), as the
+/// suite runner's cells do for earlier cells' decisions. If a body throws,
 /// the first exception is rethrown from parallelFor after all workers stop;
 /// indices not yet claimed at that point are skipped.
 void parallelFor(unsigned Jobs, size_t N,

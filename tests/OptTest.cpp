@@ -93,6 +93,22 @@ TEST(VnTest, EliminatesOverwrittenStore) {
   EXPECT_EQ(R.ExitCode, 2);
 }
 
+TEST(VnTest, EliminatesInterleavedOverwrittenStores) {
+  // The dead stores come to light out of block order (b's before a's).
+  // Erasing them one at a time from the back of that list deleted the
+  // wrong instruction, the `b = 3` constant, and the program printed 40.
+  auto M = compileSrc("int a; int b;\n"
+                      "int main() { a = 1; b = 2; b = 3; a = 4;\n"
+                      "  print_int(a); print_int(b); return 0; }");
+  VnStats S = runValueNumbering(*M);
+  verifyAll(*M);
+  EXPECT_EQ(S.DeadStores, 2u);
+  EXPECT_EQ(countOps(*M, "main", Opcode::ScalarStore), 2u);
+  ExecResult R = interpret(*M);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, "43");
+}
+
 TEST(VnTest, CallBlocksStoreElimination) {
   auto M = compileSrc("int g;\n"
                       "int peek() { return g; }\n"

@@ -25,6 +25,7 @@
 #include "driver/SuiteRunner.h"
 #include "fuzz/ProgramGenerator.h"
 #include "ir/IRPrinter.h"
+#include "ir/Module.h"
 #include "regalloc/Liverange.h"
 
 #include <gtest/gtest.h>
@@ -67,9 +68,10 @@ std::string statsLine(const RegAllocStats &S) {
   return OS.str();
 }
 
-/// `program/config -> digest` for one program's 32 configurations.
-std::map<std::string, std::string> digestsOf(const std::string &Program) {
-  std::map<std::string, std::string> Out;
+/// One program compiled under the 32 configurations, keyed by
+/// `program/config`.
+std::map<std::string, CompileOutput> compileGrid(const std::string &Program) {
+  std::map<std::string, CompileOutput> Out;
   FrontendArtifact FA = runFrontend(loadBenchProgram(Program));
   EXPECT_TRUE(FA.Ok) << Program << ": " << FA.Errors;
   for (AnalysisKind Kind : {AnalysisKind::ModRef, AnalysisKind::PointsTo}) {
@@ -89,10 +91,19 @@ std::map<std::string, std::string> digestsOf(const std::string &Program) {
               (Classic ? "-classic" : "-default");
           CompileOutput CO = compileSuffix(AM, Cfg);
           EXPECT_TRUE(CO.Ok) << Key << ": " << CO.Errors;
-          Out[Key] = hex16(
-              fnv64(printModule(*CO.M) + statsLine(CO.Stats.RegAlloc)));
+          Out[Key] = std::move(CO);
         }
   }
+  return Out;
+}
+
+/// `program/config -> digest` for one program's 32 configurations.
+std::map<std::string, std::string> digestsOf(const std::string &Program) {
+  std::map<std::string, std::string> Out;
+  for (const auto &[Key, CO] : compileGrid(Program))
+    if (CO.Ok)
+      Out[Key] = hex16(
+          fnv64(printModule(*CO.M) + statsLine(CO.Stats.RegAlloc)));
   return Out;
 }
 
@@ -139,6 +150,53 @@ TEST_P(RegAllocGolden, PrintedIlMatchesTable) {
     }
     EXPECT_EQ(Digest, It->second) << Key << ": allocator output changed";
   }
+}
+
+// The suite shares one run among cells whose modules are identical
+// (identicalModules). On every pair of the grid, identity must imply the
+// canonical identity, equal printed IL. On the paper's four cells (K=16,
+// default allocator, in matrix order) it must also find every repeat that
+// printing finds: the distinct images per program are those of
+// EXPERIMENTS.md, 31 for the suite's 56 cells.
+TEST_P(RegAllocGolden, IdenticalModulesPrintIdentically) {
+  const std::string &Program = GetParam();
+  std::map<std::string, CompileOutput> Grid = compileGrid(Program);
+  ASSERT_EQ(Grid.size(), 32u);
+  std::vector<std::pair<const Module *, std::string>> Mods;
+  for (const auto &[Key, CO] : Grid) {
+    ASSERT_TRUE(CO.Ok) << Key;
+    Mods.push_back({CO.M.get(), printModule(*CO.M)});
+  }
+  for (size_t I = 0; I != Mods.size(); ++I)
+    for (size_t J = I + 1; J != Mods.size(); ++J) {
+      if (identicalModules(*Mods[I].first, *Mods[J].first)) {
+        EXPECT_EQ(Mods[I].second, Mods[J].second)
+            << Program << ": identical modules print differently";
+      }
+    }
+
+  const char *Paper[4] = {"modref-nopromo", "modref-promo",
+                          "pointsto-nopromo", "pointsto-promo"};
+  std::vector<const Module *> Images;
+  std::vector<std::string> Printed;
+  for (const char *Cell : Paper) {
+    const Module &M = *Grid.at(Program + "/" + Cell + "-k16-default").M;
+    std::string Text = printModule(M);
+    bool Repeat = false;
+    for (size_t I = 0; I != Images.size(); ++I) {
+      bool Same = identicalModules(*Images[I], M);
+      EXPECT_EQ(Same, Printed[I] == Text) << Program << "/" << Cell;
+      Repeat |= Same;
+    }
+    if (!Repeat) {
+      Images.push_back(&M);
+      Printed.push_back(std::move(Text));
+    }
+  }
+  size_t Expected = Program == "sim"                     ? 1
+                    : Program == "bc" || Program == "fft" ? 4
+                                                          : 2;
+  EXPECT_EQ(Images.size(), Expected) << Program;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, RegAllocGolden,

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/SuiteRunner.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,141 @@ TEST(SuiteShapeTest, MostProgramsInsensitiveToAnalysisPrecision) {
     double ModrefPct = pctRemoved(PR.R[0][0].Total, PR.R[0][1].Total);
     double PointerPct = pctRemoved(PR.R[1][0].Total, PR.R[1][1].Total);
     EXPECT_NEAR(ModrefPct, PointerPct, 0.5) << Name;
+  }
+}
+
+// -- Shared runs ----------------------------------------------------------
+
+/// A program with no memory traffic at all: nothing to promote and nothing
+/// for the two analyses to disagree on, so all four cells compile to one
+/// module.
+const char *kOneImage = "int main() { int i; int s; s = 0;\n"
+                        "  for (i = 0; i < 100; i = i + 1) s = s + i * i;\n"
+                        "  print_int(s);\n"
+                        "  return s % 7; }";
+
+/// interpret() calls on \p Opts' engine since the last registry reset.
+int64_t interpRuns(const SuiteOptions &Opts) {
+  MetricLabels L = {{"engine", interpEngineName(Opts.Interp.Engine)}};
+  for (const MetricSample &S : MetricsRegistry::global().snapshot())
+    if (S.Name == "interp.runs" && S.Labels == L)
+      return S.Value;
+  return 0;
+}
+
+/// Runs \p Source's matrix and returns the results plus the number of
+/// interpret() calls it made.
+ProgramResults runCounted(const std::string &Name, const std::string &Source,
+                          const SuiteOptions &Opts, int64_t &Runs) {
+  MetricsRegistry::global().reset();
+  ProgramResults PR = runAllConfigs(Name, Source, Opts);
+  Runs = interpRuns(Opts);
+  return PR;
+}
+
+void expectSameCells(const ProgramResults &A, const ProgramResults &B) {
+  for (int An = 0; An != 2; ++An)
+    for (int P = 0; P != 2; ++P) {
+      const ConfigCounts &CA = A.R[An][P], &CB = B.R[An][P];
+      std::string Cell = A.Name + " " + suiteCellName(An, P);
+      EXPECT_EQ(CA.Ok, CB.Ok) << Cell;
+      EXPECT_EQ(CA.Error, CB.Error) << Cell;
+      EXPECT_EQ(CA.Total, CB.Total) << Cell;
+      EXPECT_EQ(CA.Loads, CB.Loads) << Cell;
+      EXPECT_EQ(CA.Stores, CB.Stores) << Cell;
+      EXPECT_EQ(CA.ExitCode, CB.ExitCode) << Cell;
+      EXPECT_EQ(CA.Output, CB.Output) << Cell;
+      EXPECT_EQ(CA.RemarksPromoted, CB.RemarksPromoted) << Cell;
+      EXPECT_EQ(CA.RemarksText, CB.RemarksText) << Cell;
+      EXPECT_EQ(CA.ProfileJson, CB.ProfileJson) << Cell;
+      EXPECT_EQ(CA.Explain, CB.Explain) << Cell;
+    }
+}
+
+TEST(SuiteSharingTest, OneImageRunsOnceAtAnyJobs) {
+  SuiteOptions NoCache;
+  NoCache.UseCompileCache = false;
+  int64_t Runs = 0;
+  ProgramResults Ref = runCounted("one", kOneImage, NoCache, Runs);
+  EXPECT_EQ(Runs, 4) << "--no-compile-cache must run every cell";
+  ASSERT_TRUE(Ref.R[0][0].Ok) << Ref.R[0][0].Error;
+  for (unsigned Jobs : {1u, 4u}) {
+    SuiteOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Remarks = true;
+    NoCache.Remarks = true;
+    ProgramResults PR = runCounted("one", kOneImage, Opts, Runs);
+    EXPECT_EQ(Runs, 1) << "Jobs=" << Jobs;
+    expectSameCells(PR, runAllConfigs("one", kOneImage, NoCache));
+  }
+}
+
+TEST(SuiteSharingTest, DistinctImagesEachRun) {
+  // fft is one of the two programs where the analyses separate, and
+  // promotion changes its code under both: four images.
+  std::string Source = loadBenchProgram("fft");
+  SuiteOptions Opts;
+  Opts.Jobs = 4;
+  int64_t Runs = 0;
+  ProgramResults PR = runCounted("fft", Source, Opts, Runs);
+  EXPECT_EQ(Runs, 4);
+  SuiteOptions NoCache;
+  NoCache.UseCompileCache = false;
+  expectSameCells(PR, runAllConfigs("fft", Source, NoCache));
+}
+
+TEST(SuiteSharingTest, ProfiledCellRunsOnItsOwn) {
+  SuiteOptions Opts;
+  Opts.ProfileTags = true;
+  int64_t Runs = 0;
+  ProgramResults PR = runCounted("one", kOneImage, Opts, Runs);
+  // The profiled modref/with cell runs with its sink; the other three
+  // cells share one run.
+  EXPECT_EQ(Runs, 2);
+  EXPECT_FALSE(PR.R[0][1].ProfileJson.empty());
+  SuiteOptions NoCache = Opts;
+  NoCache.UseCompileCache = false;
+  expectSameCells(PR, runAllConfigs("one", kOneImage, NoCache));
+}
+
+TEST(SuiteSharingTest, FailedCompilesRunNothing) {
+  // No cell compiles, so none runs or shares, and each reports the error.
+  SuiteOptions Opts;
+  Opts.Jobs = 4;
+  int64_t Runs = 0;
+  ProgramResults PR =
+      runCounted("broken", "int main() { return missing; }", Opts, Runs);
+  EXPECT_EQ(Runs, 0);
+  for (int An = 0; An != 2; ++An)
+    for (int P = 0; P != 2; ++P) {
+      EXPECT_FALSE(PR.R[An][P].Ok);
+      EXPECT_NE(PR.R[An][P].Error.find("missing"), std::string::npos)
+          << PR.R[An][P].Error;
+    }
+}
+
+TEST(SuiteSharingTest, SuiteRunsOnePerImage) {
+  // tsp and dhrystone each compile to two images (promotion changes the
+  // code, the analyses do not), so the suite runs four cells of eight.
+  SuiteOptions NoCache;
+  NoCache.UseCompileCache = false;
+  std::vector<ProgramResults> Ref = runSuite({"tsp", "dhrystone"}, NoCache);
+  for (unsigned Jobs : {1u, 4u}) {
+    SuiteOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.CollectTiming = true;
+    MetricsRegistry::global().reset();
+    std::vector<ProgramResults> All = runSuite({"tsp", "dhrystone"}, Opts);
+    EXPECT_EQ(interpRuns(Opts), 4) << "Jobs=" << Jobs;
+    ASSERT_EQ(All.size(), Ref.size());
+    for (size_t I = 0; I != All.size(); ++I) {
+      const ProgramResults &PR = All[I];
+      expectSameCells(PR, Ref[I]);
+      // Every cell's steps count, whether it ran or shared a run.
+      EXPECT_EQ(PR.Timing.InterpSteps, PR.R[0][0].Total + PR.R[0][1].Total +
+                                           PR.R[1][0].Total + PR.R[1][1].Total)
+          << PR.Name;
+    }
   }
 }
 

@@ -111,10 +111,13 @@ void usage() {
       "suite\n"
       "  --jobs=N                   worker threads for --suite (default 1);\n"
       "                             stdout is identical for any N\n"
-      "  --no-compile-cache         compile every suite cell from scratch\n"
-      "                             instead of forking each program's shared\n"
-      "                             frontend+analysis prefix; output is\n"
-      "                             byte-identical either way (A/B check)\n"
+      "  --no-compile-cache         compile and run every suite cell from\n"
+      "                             scratch instead of forking each "
+      "program's\n"
+      "                             shared frontend+analysis prefix and\n"
+      "                             running cells with identical compiled\n"
+      "                             modules once; output is byte-identical\n"
+      "                             either way (A/B check)\n"
       "  --sandbox                  run every suite cell in a forked child;\n"
       "                             a crashing/hanging/OOMing cell renders "
       "as\n"
