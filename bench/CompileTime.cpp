@@ -10,20 +10,13 @@
 
 #include "alias/ModRef.h"
 #include "analysis/CfgNormalize.h"
-#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
-#include "driver/PassTiming.h"
 #include "driver/SuiteRunner.h"
 #include "frontend/Lowering.h"
 #include "promote/ScalarPromotion.h"
-#include "support/Format.h"
-#include "support/Json.h"
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 using namespace rpcc;
@@ -131,138 +124,6 @@ BENCHMARK_CAPTURE(BM_CompileSuiteProgram, gzip_enc, std::string("gzip_enc"));
 BENCHMARK_CAPTURE(BM_CompileSuiteProgram, water, std::string("water"));
 BENCHMARK_CAPTURE(BM_CompileSuiteProgram, bison, std::string("bison"));
 
-// ---------------------------------------------------------------------------
-// --cache-bench: cached vs uncached whole-suite compile sweep
-// ---------------------------------------------------------------------------
-//
-// Measures what the shared-prefix CompileCache buys `rpcc --suite`: for
-// each program, one sweep compiles the four matrix configurations —
-// {MOD/REF, points-to} x {without, with promotion} — from scratch, and one
-// forks them from a fresh cache (frontend once, each analysis once). Each
-// sweep takes the best of --reps wall-clock samples and the raw results go
-// to BENCH_compile.json in the same shape as BENCH_interp.json:
-//   {"reps":N,"results":[{"program":..,"mode":"uncached"|"cached",
-//    "wall_ms":..}],"geomean_speedup":..}
-// Run from a Release build, like interp_throughput.
-
-std::vector<CompilerConfig> suiteMatrix() {
-  std::vector<CompilerConfig> Out;
-  for (int A = 0; A != 2; ++A)
-    for (int P = 0; P != 2; ++P) {
-      CompilerConfig Cfg;
-      Cfg.Analysis = A == 0 ? AnalysisKind::ModRef : AnalysisKind::PointsTo;
-      Cfg.ScalarPromotion = P == 1;
-      Out.push_back(Cfg);
-    }
-  return Out;
-}
-
-/// One full matrix sweep over \p Src; a fresh cache per sweep when
-/// \p Cached, so the measurement includes the prefix compiles a real
-/// suite run pays once per program.
-double sweepOnce(const std::string &Src,
-                 const std::vector<CompilerConfig> &Matrix, bool Cached) {
-  std::unique_ptr<CompileCache> Cache;
-  if (Cached)
-    Cache = std::make_unique<CompileCache>();
-  double T0 = timingNowMs();
-  for (const CompilerConfig &Cfg : Matrix) {
-    CompileOutput Out = Cache ? Cache->compile("bench", Src, Cfg)
-                              : compileProgram(Src, Cfg);
-    if (!Out.Ok) {
-      std::fprintf(stderr, "error: compile failure:\n%s", Out.Errors.c_str());
-      std::exit(1);
-    }
-    benchmark::DoNotOptimize(Out.M.get());
-  }
-  return timingNowMs() - T0;
-}
-
-int runCacheBench(unsigned Reps, const std::string &JsonFile,
-                  const std::vector<std::string> &Programs) {
-  std::vector<CompilerConfig> Matrix = suiteMatrix();
-  TextTable T({"program", "uncached ms", "cached ms", "speedup"});
-  std::string Json =
-      "{\"reps\":" + std::to_string(Reps) + ",\"results\":[";
-  double LogSum = 0;
-  for (size_t PI = 0; PI != Programs.size(); ++PI) {
-    const std::string &Name = Programs[PI];
-    std::string Src = loadBenchProgram(Name);
-    double BestUncached = 1e300, BestCached = 1e300;
-    // Warmup: page in the source and fill allocator pools.
-    sweepOnce(Src, Matrix, /*Cached=*/false);
-    for (unsigned R = 0; R != Reps; ++R) {
-      BestUncached = std::min(BestUncached, sweepOnce(Src, Matrix, false));
-      BestCached = std::min(BestCached, sweepOnce(Src, Matrix, true));
-    }
-    double Speedup = BestUncached / BestCached;
-    LogSum += std::log(Speedup);
-    T.addRow({Name, fixed(BestUncached, 3), fixed(BestCached, 3),
-              fixed(Speedup, 2)});
-    if (PI)
-      Json += ",";
-    Json += "{\"program\":\"" + jsonEscape(Name) +
-            "\",\"mode\":\"uncached\",\"wall_ms\":" + fixed(BestUncached, 3) +
-            "},{\"program\":\"" + jsonEscape(Name) +
-            "\",\"mode\":\"cached\",\"wall_ms\":" + fixed(BestCached, 3) + "}";
-  }
-  double Geomean =
-      Programs.empty()
-          ? 0
-          : std::exp(LogSum / static_cast<double>(Programs.size()));
-  Json += "],\"geomean_speedup\":" + fixed(Geomean, 3) + "}\n";
-  std::fputs(T.render().c_str(), stdout);
-  std::printf("geomean speedup (cached vs uncached): %s\n",
-              fixed(Geomean, 2).c_str());
-  std::ofstream JOut(JsonFile, std::ios::binary);
-  if (!JOut) {
-    std::fprintf(stderr, "error: cannot write %s\n", JsonFile.c_str());
-    return 4;
-  }
-  JOut << Json;
-  return 0;
-}
-
 } // namespace
 
-int main(int argc, char **argv) {
-  bool CacheBench = false;
-  unsigned Reps = 5;
-  std::string JsonFile = "BENCH_compile.json";
-  std::vector<std::string> Programs = benchProgramNames();
-  for (int I = 1; I < argc; ++I) {
-    const char *A = argv[I];
-    if (std::strcmp(A, "--cache-bench") == 0) {
-      CacheBench = true;
-    } else if (std::strncmp(A, "--reps=", 7) == 0) {
-      int V = std::atoi(A + 7);
-      if (V < 1) {
-        std::fprintf(stderr, "error: bad --reps value '%s'\n", A + 7);
-        return 2;
-      }
-      Reps = static_cast<unsigned>(V);
-    } else if (std::strncmp(A, "--json=", 7) == 0) {
-      JsonFile = A + 7;
-    } else if (std::strncmp(A, "--programs=", 11) == 0) {
-      Programs.clear();
-      std::string List = A + 11;
-      size_t Pos = 0;
-      while (Pos < List.size()) {
-        size_t Comma = List.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = List.size();
-        Programs.push_back(List.substr(Pos, Comma - Pos));
-        Pos = Comma + 1;
-      }
-    }
-    // Anything else is a google-benchmark flag; left for Initialize below.
-  }
-  if (CacheBench)
-    return runCacheBench(Reps, JsonFile, Programs);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

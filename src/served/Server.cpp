@@ -172,8 +172,27 @@ std::string httpJson(int Status, const std::string &Body, bool KeepAlive) {
   return httpResponse(Status, "application/json", Body, KeepAlive);
 }
 
-/// The /compile success body, shared by the served and fork-per-request
-/// paths so the benchmark compares process models, not formats.
+/// Compiles \p R through \p Cache: the frontend and the analyzed module
+/// come from the cached artifact, the suffix runs for this request. \p Key
+/// and \p Cached receive the artifact's content key and cache outcome.
+CompileOutput compileCached(ArtifactCache &Cache, const CompileRequest &R,
+                            std::string &Key, const char *&Cached) {
+  ArtifactCache::Outcome Out;
+  std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
+  Key = Art->Key;
+  Cached = cachedName(Out);
+  const AnalyzedModule &AM =
+      Art->AM[R.Analysis == AnalysisKind::PointsTo ? 1 : 0];
+  if (AM.Ok)
+    return compileSuffix(AM, configFor(R));
+  CompileOutput CO;
+  CO.Ok = false;
+  CO.Errors = AM.Errors;
+  return CO;
+}
+
+/// The /compile body: status, artifact provenance and the compiled
+/// module's static figures.
 std::string compileBody(const CompileRequest &R, const CompileOutput &CO,
                         const std::string &Key, const char *Cached,
                         double WallMs) {
@@ -436,42 +455,10 @@ std::string Server::handleCompile(const HttpRequest &Req) {
     return httpJson(400, jsonError(R.Error), Req.KeepAlive);
 
   double T0 = timingNowMs();
-
-  if (Opts.ForkPerRequest) {
-    // Baseline process model: a fresh child compiles from scratch and
-    // ships the response body back; nothing is shared or cached.
-    CompileRequest RCopy = R;
-    SandboxOptions SO;
-    SO.Limits = Opts.RunLimits;
-    SandboxResult SR = runSandboxed(
-        [&RCopy, T0](std::string &Payload) {
-          CompileOutput CO = compileProgram(RCopy.Source, configFor(RCopy));
-          Payload = compileBody(RCopy, CO,
-                                ArtifactCache::contentKey(RCopy.Source),
-                                "fork", timingNowMs() - T0);
-          return true;
-        },
-        SO);
-    if (!SR.ok())
-      return httpJson(200, jsonError("compile child: " + SR.Error),
-                      Req.KeepAlive);
-    return httpJson(200, SR.Payload, Req.KeepAlive);
-  }
-
-  ArtifactCache::Outcome Out;
-  std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
-  size_t Idx = R.Analysis == AnalysisKind::PointsTo ? 1 : 0;
-
-  CompileOutput CO;
-  if (!Art->AM[Idx].Ok) {
-    CO.Ok = false;
-    CO.Errors = Art->AM[Idx].Errors;
-  } else {
-    CO = compileSuffix(Art->AM[Idx], configFor(R));
-  }
-  return httpJson(200,
-                  compileBody(R, CO, Art->Key, cachedName(Out),
-                              timingNowMs() - T0),
+  std::string Key;
+  const char *Cached = nullptr;
+  CompileOutput CO = compileCached(Cache, R, Key, Cached);
+  return httpJson(200, compileBody(R, CO, Key, Cached, timingNowMs() - T0),
                   Req.KeepAlive);
 }
 
@@ -520,28 +507,12 @@ std::string Server::handleRun(const HttpRequest &Req) {
 
   double T0 = timingNowMs();
 
-  // Compile in the parent (through the cache unless benchmarking the fork
-  // model), then execute in a sandboxed child: the child inherits the
-  // compiled module copy-on-write and the worst it can do is produce a
-  // classified verdict.
-  std::string Key = ArtifactCache::contentKey(R.Source);
-  const char *Cached = "fork";
-  CompileOutput CO;
-  if (Opts.ForkPerRequest) {
-    CO = compileProgram(R.Source, configFor(R));
-  } else {
-    ArtifactCache::Outcome Out;
-    std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
-    size_t Idx = R.Analysis == AnalysisKind::PointsTo ? 1 : 0;
-    Key = Art->Key;
-    Cached = cachedName(Out);
-    if (!Art->AM[Idx].Ok) {
-      CO.Ok = false;
-      CO.Errors = Art->AM[Idx].Errors;
-    } else {
-      CO = compileSuffix(Art->AM[Idx], configFor(R));
-    }
-  }
+  // Compile in the parent through the cache, then execute in a sandboxed
+  // child: the child inherits the compiled module copy-on-write and the
+  // worst it can do is produce a classified verdict.
+  std::string Key;
+  const char *Cached = nullptr;
+  CompileOutput CO = compileCached(Cache, R, Key, Cached);
   if (!CO.Ok) {
     std::string B = "{\"status\":\"error\",\"key\":\"" + Key +
                     "\",\"cached\":\"" + Cached + "\",\"error\":\"" +

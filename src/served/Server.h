@@ -35,10 +35,6 @@
 /// deadline converts a wedged client into a bounded delay, not a hung
 /// daemon.
 ///
-/// The fork-per-request mode exists for the throughput benchmark: same
-/// HTTP front, but every request forks a child that compiles from scratch
-/// (no cache, no coalescing) — the process model rpserved replaces.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPCC_SERVED_SERVER_H
@@ -82,9 +78,6 @@ struct ServerOptions {
   SandboxLimits RunLimits;
   /// Execute-engine for /run when the request does not choose one.
   InterpEngine Engine = DefaultInterpEngine;
-  /// Benchmark baseline: fork a child per request that compiles from
-  /// scratch — no artifact cache, no coalescing.
-  bool ForkPerRequest = false;
 };
 
 class Server {

@@ -133,3 +133,18 @@ endif()
 add_test(NAME cli_fuzz_inject_without_sandbox
          COMMAND $<TARGET_FILE:rpfuzz> --runs=1 --inject-worker-faults)
 set_tests_properties(cli_fuzz_inject_without_sandbox PROPERTIES WILL_FAIL TRUE)
+
+# rpserved option errors end the process before it binds: an unknown flag
+# and a zero cache budget are named, not served. The short timeout turns a
+# daemon that starts anyway into a failure.
+add_test(NAME cli_served_unknown_option
+         COMMAND $<TARGET_FILE:rpserved> --fork-per-request)
+set_tests_properties(cli_served_unknown_option PROPERTIES
+  PASS_REGULAR_EXPRESSION "unknown option '--fork-per-request'"
+  TIMEOUT 10)
+
+add_test(NAME cli_served_zero_cache
+         COMMAND $<TARGET_FILE:rpserved> --cache-mb=0)
+set_tests_properties(cli_served_zero_cache PROPERTIES
+  PASS_REGULAR_EXPRESSION "bad value for --cache-mb"
+  TIMEOUT 10)

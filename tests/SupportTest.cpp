@@ -2,35 +2,12 @@
 
 #include "support/DenseBitSet.h"
 #include "support/Format.h"
-#include "support/StringInterner.h"
 
 #include <gtest/gtest.h>
 
 using namespace rpcc;
 
 namespace {
-
-TEST(StringInternerTest, StableIds) {
-  StringInterner SI;
-  StrId A = SI.intern("alpha");
-  StrId B = SI.intern("beta");
-  EXPECT_NE(A, B);
-  EXPECT_EQ(SI.intern("alpha"), A);
-  EXPECT_EQ(SI.str(A), "alpha");
-  EXPECT_EQ(SI.str(B), "beta");
-  EXPECT_EQ(SI.size(), 2u);
-}
-
-TEST(StringInternerTest, ManyStringsNoInvalidation) {
-  StringInterner SI;
-  std::vector<StrId> Ids;
-  for (int I = 0; I < 1000; ++I)
-    Ids.push_back(SI.intern("s" + std::to_string(I)));
-  for (int I = 0; I < 1000; ++I) {
-    EXPECT_EQ(SI.str(Ids[I]), "s" + std::to_string(I));
-    EXPECT_EQ(SI.intern("s" + std::to_string(I)), Ids[I]);
-  }
-}
 
 TEST(DenseBitSetTest, BasicOps) {
   DenseBitSet S(130);

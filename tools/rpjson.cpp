@@ -27,14 +27,6 @@
 //                          volatile metrics dropped, count-stable
 //                          histograms reduced to their count —
 //                          byte-comparable across runs and worker counts
-//   rpjson bench FILE      benchmark report (bench/interp_throughput
-//                          --json, compile_throughput --json): engine/mode
-//                          discipline, per-program step agreement across
-//                          engines, jit geomean presence
-//   rpjson bench-served FILE
-//                          serving benchmark report (bench/served_throughput
-//                          --json): scenario discipline, per-row rate and
-//                          percentile sanity, headline speedup consistency
 //   rpjson served FILE     rpserved response envelopes, one JSON object per
 //                          line: status vocabulary, key format, cached
 //                          provenance, error presence on failures
@@ -1020,182 +1012,6 @@ int checkProm(const std::string &Text) {
   return finish(C, "prom", Samples);
 }
 
-/// Validates the benchmark JSON the bench/ harnesses commit at the repo
-/// root. One mode covers both shapes — BENCH_interp.json rows carry an
-/// engine and a step count, BENCH_compile.json rows carry a cache mode —
-/// because everything else (reps, program, wall_ms, the geomean footer) is
-/// shared. Cross-row semantics are checked too: every engine must report
-/// the same step count for a program (the engines are observationally
-/// identical by contract), and the jit geomean must be present exactly
-/// when jit rows are.
-int checkBench(const std::string &Text) {
-  JValue V;
-  if (int Rc = parseWholeFile(Text, "bench", V))
-    return Rc;
-  Checker C;
-  const JValue *Reps = nullptr;
-  if (C.need(V, "bench", "reps", JValue::Number, &Reps) && Reps->Num < 1)
-    C.problem("bench", "reps must be at least 1");
-  C.need(V, "bench", "geomean_speedup", JValue::Number);
-  static const std::vector<const char *> Engines = {"switch", "fastpath",
-                                                    "jit"};
-  static const std::vector<const char *> Modes = {"uncached", "cached"};
-  const JValue *Results = nullptr;
-  bool SawJit = false;
-  std::map<std::string, double> StepsOf;
-  if (C.need(V, "bench", "results", JValue::Array, &Results)) {
-    if (Results->Items.empty())
-      C.problem("bench", "results is empty");
-    for (size_t I = 0; I != Results->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "bench results[" << I << "]";
-      const JValue &R = Results->Items[I];
-      if (R.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      const JValue *Prog = nullptr;
-      C.need(R, WS.str(), "program", JValue::String, &Prog);
-      const JValue *Wall = nullptr;
-      if (C.need(R, WS.str(), "wall_ms", JValue::Number, &Wall) &&
-          Wall->Num < 0)
-        C.problem(WS.str(), "wall_ms is negative");
-      const JValue *Engine = R.field("engine");
-      const JValue *Mode = R.field("mode");
-      if (Engine && Mode) {
-        C.problem(WS.str(), "row has both 'engine' and 'mode'");
-      } else if (Engine) {
-        if (Engine->K != JValue::String)
-          C.problem(WS.str(), "key 'engine' has wrong type");
-        else {
-          C.oneOf(WS.str(), "engine", Engine->Str, Engines);
-          if (Engine->Str == "jit")
-            SawJit = true;
-        }
-        const JValue *Steps = nullptr;
-        if (C.need(R, WS.str(), "steps", JValue::Number, &Steps) && Prog) {
-          auto It = StepsOf.find(Prog->Str);
-          if (It == StepsOf.end())
-            StepsOf.emplace(Prog->Str, Steps->Num);
-          else if (It->second != Steps->Num)
-            C.problem(WS.str(), "engines disagree on steps for '" +
-                                    Prog->Str + "'");
-        }
-        if (const JValue *CompMs = R.field("compile_ms")) {
-          if (CompMs->K != JValue::Number)
-            C.problem(WS.str(), "key 'compile_ms' has wrong type");
-          else if (CompMs->Num < 0)
-            C.problem(WS.str(), "compile_ms is negative");
-        }
-      } else if (Mode) {
-        if (Mode->K != JValue::String)
-          C.problem(WS.str(), "key 'mode' has wrong type");
-        else
-          C.oneOf(WS.str(), "mode", Mode->Str, Modes);
-      } else {
-        C.problem(WS.str(),
-                  "row needs 'engine' (interp bench) or 'mode' (compile "
-                  "bench)");
-      }
-    }
-  }
-  if (SawJit)
-    C.need(V, "bench", "geomean_speedup_jit", JValue::Number);
-  else if (V.field("geomean_speedup_jit"))
-    C.problem("bench", "geomean_speedup_jit present without jit rows");
-  return finish(C, "bench", Results ? Results->Items.size() : 0);
-}
-
-/// Validates the serving benchmark JSON (bench/served_throughput --json,
-/// committed as BENCH_served.json). Beyond per-row shape, the cross-row
-/// claims are checked: every (scenario, connections) row is unique, the
-/// headline connection count actually has warm and fork rows, the headline
-/// rates match those rows, and the speedup is their ratio — so the number
-/// the README quotes cannot drift from the data it summarizes.
-int checkBenchServed(const std::string &Text) {
-  JValue V;
-  if (int Rc = parseWholeFile(Text, "bench-served", V))
-    return Rc;
-  Checker C;
-  const JValue *F = nullptr;
-  if (C.need(V, "bench-served", "requests_per_conn", JValue::Number, &F) &&
-      F->Num < 1)
-    C.problem("bench-served", "requests_per_conn must be at least 1");
-  if (C.need(V, "bench-served", "workers", JValue::Number, &F) && F->Num < 1)
-    C.problem("bench-served", "workers must be at least 1");
-  static const std::vector<const char *> Scenarios = {"fork", "cold", "warm"};
-  const JValue *Results = nullptr;
-  std::map<std::string, double> RpsOf; ///< "scenario/conns" -> rps
-  if (C.need(V, "bench-served", "results", JValue::Array, &Results)) {
-    if (Results->Items.empty())
-      C.problem("bench-served", "results is empty");
-    for (size_t I = 0; I != Results->Items.size(); ++I) {
-      std::ostringstream WS;
-      WS << "bench-served results[" << I << "]";
-      const JValue &R = Results->Items[I];
-      if (R.K != JValue::Object) {
-        C.problem(WS.str(), "not an object");
-        continue;
-      }
-      const JValue *Scen = nullptr, *Conns = nullptr;
-      if (C.need(R, WS.str(), "scenario", JValue::String, &Scen))
-        C.oneOf(WS.str(), "scenario", Scen->Str, Scenarios);
-      if (C.need(R, WS.str(), "connections", JValue::Number, &Conns) &&
-          Conns->Num < 1)
-        C.problem(WS.str(), "connections must be at least 1");
-      if (C.need(R, WS.str(), "requests", JValue::Number, &F) && F->Num < 1)
-        C.problem(WS.str(), "requests must be at least 1");
-      if (C.need(R, WS.str(), "wall_ms", JValue::Number, &F) && F->Num < 0)
-        C.problem(WS.str(), "wall_ms is negative");
-      const JValue *Rps = nullptr;
-      if (C.need(R, WS.str(), "rps", JValue::Number, &Rps) && Rps->Num <= 0)
-        C.problem(WS.str(), "rps must be positive");
-      const JValue *P50 = nullptr, *P99 = nullptr;
-      if (C.need(R, WS.str(), "p50_us", JValue::Number, &P50) && P50->Num < 0)
-        C.problem(WS.str(), "p50_us is negative");
-      if (C.need(R, WS.str(), "p99_us", JValue::Number, &P99) && P50 &&
-          P99->Num < P50->Num)
-        C.problem(WS.str(), "p99_us below p50_us");
-      if (Scen && Conns && Rps) {
-        std::string Key =
-            Scen->Str + "/" + std::to_string(static_cast<long long>(Conns->Num));
-        if (!RpsOf.emplace(Key, Rps->Num).second)
-          C.problem(WS.str(), "duplicate (scenario, connections) row");
-      }
-    }
-  }
-  const JValue *Headline = nullptr, *WarmRps = nullptr, *ForkRps = nullptr;
-  const JValue *Speedup = nullptr;
-  C.need(V, "bench-served", "headline_connections", JValue::Number, &Headline);
-  C.need(V, "bench-served", "warm_rps", JValue::Number, &WarmRps);
-  C.need(V, "bench-served", "fork_rps", JValue::Number, &ForkRps);
-  C.need(V, "bench-served", "speedup_warm_vs_fork", JValue::Number, &Speedup);
-  auto closeEnough = [](double A, double B) {
-    double Mag = std::max(std::fabs(A), std::fabs(B));
-    return std::fabs(A - B) <= 0.01 * Mag + 1e-3;
-  };
-  if (Headline && WarmRps && ForkRps) {
-    std::string Suffix =
-        "/" + std::to_string(static_cast<long long>(Headline->Num));
-    auto Warm = RpsOf.find("warm" + Suffix);
-    auto Fork = RpsOf.find("fork" + Suffix);
-    if (Warm == RpsOf.end() || Fork == RpsOf.end())
-      C.problem("bench-served",
-                "no warm/fork rows at headline_connections");
-    else {
-      if (!closeEnough(Warm->second, WarmRps->Num))
-        C.problem("bench-served", "warm_rps does not match its row");
-      if (!closeEnough(Fork->second, ForkRps->Num))
-        C.problem("bench-served", "fork_rps does not match its row");
-    }
-    if (Speedup && ForkRps->Num > 0 &&
-        !closeEnough(Speedup->Num, WarmRps->Num / ForkRps->Num))
-      C.problem("bench-served",
-                "speedup_warm_vs_fork is not warm_rps / fork_rps");
-  }
-  return finish(C, "bench-served", Results ? Results->Items.size() : 0);
-}
-
 //===----------------------------------------------------------------------===//
 // rpserved response envelopes
 //===----------------------------------------------------------------------===//
@@ -1210,7 +1026,7 @@ void checkServedObject(const JValue &O, const std::string &Where,
   static const std::vector<const char *> Statuses = {
       "ok", "error", "trap", "timeout", "oom", "crash", "internal-error"};
   static const std::vector<const char *> CachedKinds = {
-      "hit", "miss", "coalesced", "bypass", "fork"};
+      "hit", "miss", "coalesced", "bypass"};
   const JValue *St = nullptr;
   if (C.need(O, Where, "status", JValue::String, &St))
     C.oneOf(Where, "status", St->Str, Statuses);
@@ -1296,7 +1112,7 @@ void checkServedObject(const JValue &O, const std::string &Where,
 int main(int argc, char **argv) {
   if (argc != 3) {
     std::fputs("usage: rpjson remarks|profile|trace|timing|canon|metrics|"
-               "prom|metrics-canon|bench|bench-served|served FILE\n",
+               "prom|metrics-canon|served FILE\n",
                stderr);
     return 2;
   }
@@ -1326,10 +1142,6 @@ int main(int argc, char **argv) {
     return checkMetrics(Text, true);
   if (std::strcmp(Cmd, "prom") == 0)
     return checkProm(Text);
-  if (std::strcmp(Cmd, "bench") == 0)
-    return checkBench(Text);
-  if (std::strcmp(Cmd, "bench-served") == 0)
-    return checkBenchServed(Text);
   if (std::strcmp(Cmd, "served") == 0)
     return checkJsonLines(Text, "served", checkServedObject);
   std::fprintf(stderr, "rpjson: unknown command '%s'\n", Cmd);

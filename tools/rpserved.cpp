@@ -57,8 +57,6 @@ void printUsage() {
       "                       (default 512)\n"
       "  --engine=E           default execute engine: switch | fastpath |\n"
       "                       jit (default fastpath)\n"
-      "  --fork-per-request   benchmark baseline: fork a child per request,\n"
-      "                       no artifact cache or coalescing\n"
       "  --metrics-json=FILE  write the metrics JSON snapshot on exit\n"
       "  --heartbeat=SECS     progress line on stderr every SECS\n"
       "  --help               this text\n"
@@ -215,10 +213,6 @@ int main(int argc, char **argv) {
       if (VF < 0 || !parseUnsigned(Val.c_str(), HeartbeatSecs) ||
           HeartbeatSecs == 0)
         return BadValue("--heartbeat");
-      continue;
-    }
-    if (std::strcmp(A, "--fork-per-request") == 0) {
-      Opts.ForkPerRequest = true;
       continue;
     }
     std::fprintf(stderr, "rpserved: unknown option '%s'\n", A);
