@@ -125,7 +125,8 @@ struct CompileOutput {
 //                         Forks the analyzed module per cell.
 //
 // Stages never mutate their input artifact, so one artifact can feed any
-// number of concurrent downstream stages (see driver/CompileCache.h).
+// number of concurrent downstream stages (see served/ArtifactCache.h, the
+// prefix store the suite, the fuzzer and rpserved compile through).
 // compileProgram() below runs all three stages in place with no forks; it
 // produces byte-identical results because every cross-stage handoff is a
 // faithful deep copy.
@@ -139,8 +140,8 @@ struct StageOptions {
   /// When non-null, stage passes add spans (category "pass") here.
   TraceCollector *Trace = nullptr;
   /// Trace span label. Callers that share artifacts across cells (the
-  /// compile cache) pass the program name, not a cell name, so the trace
-  /// skeleton does not depend on which cell triggered the stage.
+  /// suite's prefix store) pass the program name, not a cell name, so the
+  /// trace skeleton does not depend on which cell triggered the stage.
   std::string TraceLabel;
 };
 

@@ -2,11 +2,11 @@
 
 #include "driver/SuiteRunner.h"
 
-#include "driver/CompileCache.h"
 #include "obs/Metrics.h"
 #include "obs/Remark.h"
 #include "obs/TagProfile.h"
 #include "obs/Trace.h"
+#include "served/ArtifactCache.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
@@ -85,13 +85,14 @@ private:
 };
 
 /// Compiles and runs one matrix cell. The cell owns its Module (forked from
-/// \p Cache when caching, built from source when not) and RemarkEngine, so
-/// any number of cells may run on different threads concurrently. With
+/// \p Cache's prefix when caching, built from source when not) and
+/// RemarkEngine, so any number of cells may run on different threads
+/// concurrently. With
 /// \p Share, a cell whose module repeats an earlier cell's skips the run;
 /// its counts then hold only what its compile produced.
 ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                         int A, int P, const SuiteOptions &Opts,
-                        CompileCache *Cache, SharedRuns *Share,
+                        ArtifactCache *Cache, SharedRuns *Share,
                         TimingReport &Timing) {
   CompilerConfig Cfg;
   Cfg.Analysis = A == 0 ? AnalysisKind::ModRef : AnalysisKind::PointsTo;
@@ -117,8 +118,20 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                           timingNowMs() - CellT0);
   };
   ConfigCounts C;
-  CompileOutput Out =
-      Cache ? Cache->compile(Name, Source, Cfg) : compileProgram(Source, Cfg);
+  CompileOutput Out;
+  if (Cache) {
+    // The prefix spans carry the program name, not the cell's, so the
+    // trace skeleton does not depend on which cell built the prefix.
+    StageOptions Stages;
+    Stages.CollectTiming = Opts.CollectTiming;
+    Stages.Trace = Opts.Trace;
+    if (Opts.Trace)
+      Stages.TraceLabel = Name;
+    ArtifactCache::Outcome How;
+    Out = Cache->compile(Source, Cfg, How, Stages);
+  } else {
+    Out = compileProgram(Source, Cfg);
+  }
   Timing = std::move(Out.Timing);
   if (!Out.Ok) {
     C.Error = Out.Errors;
@@ -146,8 +159,8 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
   ProfileMeta Meta;
   InterpOptions IOpts = Opts.Interp;
   // --no-compile-cache is a whole-pipeline A/B switch: it bypasses the jit's
-  // native-code cache along with the frontend compile cache, so a cached run
-  // can be diffed against a every-stage-from-scratch run.
+  // native-code cache along with the prefix store, so a cached run can be
+  // diffed against a every-stage-from-scratch run.
   IOpts.JitCodeCache = Opts.UseCompileCache;
   if (ProfileThisCell) {
     Meta = ProfileMeta::build(*M);
@@ -251,7 +264,7 @@ WorkerFault cellFault(const SuiteOptions &Opts, const std::string &Name,
 /// inline cells share runs (\p Share), since each child compiles on its own.
 ConfigCounts runCell(const std::string &Name, const std::string &Source,
                      int A, int P, const SuiteOptions &Opts,
-                     CompileCache *Cache, SharedRuns *Share,
+                     ArtifactCache *Cache, SharedRuns *Share,
                      TimingReport &Timing) {
   // Parent-side progress tally for the heartbeat, covering the inline and
   // sandboxed paths alike (a dead child still finishes its cell).
@@ -284,9 +297,10 @@ ConfigCounts runCell(const std::string &Name, const std::string &Source,
   assert(!Share && "sandboxed cells compile standalone and never share");
 
   // The child must not touch cross-thread state forked mid-flight: another
-  // worker may hold the compile cache or trace mutex at fork time, and that
-  // lock would never be released in the child. Each sandboxed cell compiles
-  // standalone and traces nothing; the parent still emits the job span.
+  // worker may hold the prefix store's or the trace's mutex at fork time,
+  // and that lock would never be released in the child. Each sandboxed cell
+  // compiles standalone and traces nothing; the parent still emits the job
+  // span.
   SuiteOptions ChildOpts = Opts;
   ChildOpts.Trace = nullptr;
   ChildOpts.CollectTiming = false;
@@ -370,6 +384,17 @@ void copyRun(const ConfigCounts &From, ConfigCounts &To, TimingReport &Timing,
   }
 }
 
+/// Adds the prefix stages \p Art built once for its program (pass samples
+/// and wall time) to \p Timing, next to the program's per-cell suffixes.
+void mergePrefixTiming(TimingReport &Timing, const ServedArtifact &Art) {
+  Timing.merge(Art.FA.Timing);
+  Timing.FrontendMillis += Art.FA.WallMillis;
+  for (const AnalyzedModule &AM : Art.AM) {
+    Timing.merge(AM.Timing);
+    Timing.FrontendMillis += AM.WallMillis;
+  }
+}
+
 /// Compiles and runs the 2x2 matrix of every program in \p All whose
 /// source is non-null, one parallelFor item per cell (program-major, matrix
 /// order within a program). With the compile cache on and the sandbox off,
@@ -380,12 +405,11 @@ void copyRun(const ConfigCounts &From, ConfigCounts &To, TimingReport &Timing,
 void runMatrix(std::vector<ProgramResults> &All,
                const std::vector<const std::string *> &Sources,
                const SuiteOptions &Opts) {
-  // One cache for all programs: each program's prefix compiles once and
+  // One store for all programs: each program's prefix compiles once and
   // its four cells fork it, whichever workers get there first.
-  std::unique_ptr<CompileCache> Cache;
+  std::unique_ptr<ArtifactCache> Cache;
   if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>(
-        CompileCache::Options{Opts.CollectTiming, Opts.Trace});
+    Cache = std::make_unique<ArtifactCache>(ArtifactCache::Unbounded);
   std::unique_ptr<SharedRuns[]> Shares;
   if (Cache && !Opts.Sandbox)
     Shares = std::make_unique<SharedRuns[]>(All.size());
@@ -413,8 +437,9 @@ void runMatrix(std::vector<ProgramResults> &All,
     if (Opts.CollectTiming) {
       for (int Cell = 0; Cell != 4; ++Cell)
         PR.Timing.merge(CellTiming[I * 4 + Cell]);
-      if (Cache)
-        PR.Timing.merge(Cache->sharedTiming(PR.Name));
+      if (Cache && Sources[I])
+        if (auto Art = Cache->peek(ArtifactCache::contentKey(*Sources[I])))
+          mergePrefixTiming(PR.Timing, *Art);
     }
     applyBaselineChecks(PR);
   }

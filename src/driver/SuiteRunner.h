@@ -54,21 +54,21 @@ struct SuiteOptions {
   /// collector, labeled "program/analysis+promo".
   TraceCollector *Trace = nullptr;
   /// Share work across cells. The configuration-independent pipeline
-  /// prefix goes through a CompileCache: the frontend runs once per program
-  /// and each alias analysis once per (program, kind); every cell then
-  /// forks the cached analyzed module. Cells whose compiled modules are
-  /// identical (identicalModules) then share one run: the first in matrix
-  /// order interprets it and the others copy its result (never the profiled
-  /// cell, never sandboxed cells). Results are byte-identical either way —
-  /// the flag exists for A/B verification (`--no-compile-cache`, which
-  /// compiles and runs every cell from scratch) and compile-time
-  /// benchmarking.
+  /// prefix goes through one unbounded prefix store (served/ArtifactCache)
+  /// per call: the frontend runs once per program and each alias analysis
+  /// once per (program, kind); every cell then forks the stored analyzed
+  /// module. Cells whose compiled modules are identical (identicalModules)
+  /// then share one run: the first in matrix order interprets it and the
+  /// others copy its result (never the profiled cell, never sandboxed
+  /// cells). Results are byte-identical either way — the flag exists for
+  /// A/B verification (`--no-compile-cache`, which compiles and runs every
+  /// cell from scratch).
   bool UseCompileCache = true;
   /// Run every cell in a forked sandbox (driver/JobRunner): a crashing,
   /// hanging, or OOMing cell becomes a classified table entry instead of
   /// killing the suite. Healthy cells produce byte-identical tables either
   /// way; sandboxed cells do not contribute per-pass timing (the child's
-  /// TimingReport dies with it) and share neither the compile cache nor
+  /// TimingReport dies with it) and share neither the prefix store nor
   /// runs (each child compiles and runs in its own address space).
   bool Sandbox = false;
   /// Resource caps for sandboxed cells.

@@ -2,7 +2,6 @@
 
 #include "fuzz/Campaign.h"
 
-#include "driver/CompileCache.h"
 #include "driver/PassTiming.h"
 #include "frontend/Lowering.h"
 #include "fuzz/DifferentialOracle.h"
@@ -12,6 +11,7 @@
 #include "ir/Verifier.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "served/ArtifactCache.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -52,7 +52,7 @@ struct SeedOutcome {
 /// diff oracle: every matrix cell must agree on behavior. Records per-cell
 /// load counts for the corpus-level promotion check.
 bool checkDiff(const std::string &Src, const std::vector<FuzzConfig> &Matrix,
-               InterpEngine Engine, CompileCache *Cache, SeedOutcome &Out) {
+               InterpEngine Engine, ArtifactCache *Cache, SeedOutcome &Out) {
   OracleResult R = checkProgram(Src, Matrix,
                               fuzzInterpOptions(Engine, Cache != nullptr), Cache);
   if (R.Ok) {
@@ -69,11 +69,12 @@ bool checkDiff(const std::string &Src, const std::vector<FuzzConfig> &Matrix,
 /// fork one cached points-to prefix: the reference suffix sees the pristine
 /// analysis, the widened suffix degrades its own private fork.
 bool checkWiden(uint64_t Seed, const std::string &Src, InterpEngine Engine,
-                CompileCache *Cache, std::string &Why) {
+                ArtifactCache *Cache, std::string &Why) {
   auto Run = [&](const CompilerConfig &Cfg) {
     if (!Cache)
       return compileAndRun(Src, Cfg, fuzzInterpOptions(Engine, false));
-    CompileOutput Out = Cache->compile("program", Src, Cfg);
+    ArtifactCache::Outcome How;
+    CompileOutput Out = Cache->compile(Src, Cfg, How);
     if (!Out.Ok) {
       ExecResult R;
       R.Error = Out.Errors;
@@ -142,7 +143,7 @@ bool checkCorrupt(uint64_t Seed, const std::string &Src, std::string &Why) {
 }
 
 /// Runs every enabled oracle for one seed. Self-contained: the seed's
-/// compiles share a private prefix cache (diff and widen compile the same
+/// compiles share a private prefix store (diff and widen compile the same
 /// program under many configs), and every compile forks its own module, so
 /// no shared state crosses seeds or threads.
 SeedOutcome checkSeed(uint64_t Seed, const CampaignOptions &Opts,
@@ -150,9 +151,9 @@ SeedOutcome checkSeed(uint64_t Seed, const CampaignOptions &Opts,
   double T0 = Opts.Trace ? timingNowMs() : 0;
   SeedOutcome Out;
   std::string Src = generateProgram(Seed);
-  std::unique_ptr<CompileCache> Cache;
+  std::unique_ptr<ArtifactCache> Cache;
   if (Opts.UseCompileCache)
-    Cache = std::make_unique<CompileCache>();
+    Cache = std::make_unique<ArtifactCache>(ArtifactCache::Unbounded);
   std::string Why;
   bool Ok =
       (!Opts.DoDiff ||

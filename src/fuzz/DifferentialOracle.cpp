@@ -2,8 +2,8 @@
 
 #include "fuzz/DifferentialOracle.h"
 
-#include "driver/CompileCache.h"
 #include "obs/Remark.h"
+#include "served/ArtifactCache.h"
 
 #include <sstream>
 
@@ -81,7 +81,7 @@ rpcc::promotionPairs(const std::vector<FuzzConfig> &Matrix) {
 OracleResult rpcc::checkProgram(const std::string &Source,
                                 const std::vector<FuzzConfig> &Matrix,
                                 const InterpOptions &IO,
-                                CompileCache *Cache) {
+                                ArtifactCache *Cache) {
   OracleResult R;
   R.Loads.assign(Matrix.size(), 0);
   bool HaveBase = false;
@@ -105,7 +105,8 @@ OracleResult rpcc::checkProgram(const std::string &Source,
     }
     ExecResult E;
     {
-      CompileOutput Out = Cache ? Cache->compile("program", Source, Cfg)
+      ArtifactCache::Outcome How;
+      CompileOutput Out = Cache ? Cache->compile(Source, Cfg, How)
                                 : compileProgram(Source, Cfg);
       if (!Out.Ok) {
         E.Error = Out.Errors;

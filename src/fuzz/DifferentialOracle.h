@@ -26,7 +26,7 @@
 
 namespace rpcc {
 
-class CompileCache;
+class ArtifactCache;
 
 /// One cell of the differential matrix.
 struct FuzzConfig {
@@ -62,13 +62,13 @@ struct OracleResult {
 
 /// Compiles and runs \p Source under every cell of \p Matrix and compares
 /// observable behavior (exit code, stdout) against cell 0. When \p Cache is
-/// non-null the cells share its compiled prefix (the matrix re-compiles one
+/// non-null the cells share its stored prefix (the matrix re-compiles one
 /// program dozens of times, so this is the fuzzer's hot path); the verdict
-/// is identical with or without a cache.
+/// is identical with or without a store.
 OracleResult checkProgram(const std::string &Source,
                           const std::vector<FuzzConfig> &Matrix,
                           const InterpOptions &IO = {},
-                          CompileCache *Cache = nullptr);
+                          ArtifactCache *Cache = nullptr);
 
 /// (without, with) index pairs of cells identical except scalar promotion.
 /// Per program the load delta can go either way (landing-pad loads, spill

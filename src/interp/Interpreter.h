@@ -107,8 +107,8 @@ struct InterpOptions {
   /// Reuse compiled native code across runs of the same decoded program
   /// (jit engine only). The cache key covers everything the emitter bakes
   /// into code, so a hit is observationally identical to a fresh compile;
-  /// `--no-compile-cache` clears this for A/B verification, exactly like
-  /// the frontend CompileCache it rides along with.
+  /// `--no-compile-cache` clears this for A/B verification, together with
+  /// the suite's and the fuzzer's prefix store (served/ArtifactCache).
   bool JitCodeCache = true;
 };
 

@@ -40,7 +40,7 @@ std::atomic<uint64_t> CacheHits{0};
 /// Two independent FNV-64 streams over the same bytes. A single 64-bit hash
 /// as the whole key would make a collision silently execute the wrong
 /// machine code; 128 independent bits push that out of reach, in the same
-/// spirit as the frontend CompileCache's double hash. The streams mix a
+/// spirit as the prefix store's two-lane content key. The streams mix a
 /// word at a time rather than a byte at a time: the key is recomputed on
 /// every jit-engine run (the decoded module is rebuilt per run, so there is
 /// nothing to memoize against), and a byte-serial multiply chain over the

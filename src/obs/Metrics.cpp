@@ -526,13 +526,6 @@ std::string Heartbeat::formatLine(const std::vector<MetricSample> &Samples,
                     "/s)");
     LastRequests = static_cast<uint64_t>(Requests);
   }
-  int64_t SHits = metricsValue(Samples, "served.cache_hits");
-  int64_t SMisses = metricsValue(Samples, "served.cache_misses");
-  if (SHits + SMisses > 0) {
-    double Pct = 100.0 * static_cast<double>(SHits) /
-                 static_cast<double>(SHits + SMisses);
-    Parts.push_back("artifacts " + fixed(Pct, 1) + "% hit");
-  }
   int64_t Hits = metricsValue(Samples, "cache.hits");
   int64_t Misses = metricsValue(Samples, "cache.misses");
   if (Hits + Misses > 0) {

@@ -238,10 +238,13 @@ public:
 
   void stop();
 
-private:
-  void loop();
+  /// One progress line from registry \p Samples taken \p ElapsedSecs after
+  /// the previous line's; advances the rate state.
   std::string formatLine(const std::vector<MetricSample> &Samples,
                          double ElapsedSecs);
+
+private:
+  void loop();
 
   unsigned Secs;
   std::string Tool;

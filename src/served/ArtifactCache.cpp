@@ -1,4 +1,4 @@
-//===- served/ArtifactCache.cpp - Coalescing LRU artifact cache -----------===//
+//===- served/ArtifactCache.cpp - The content-keyed prefix store ---------===//
 //
 // Part of rpcc, a reproduction of "Register Promotion in C Programs"
 // (Cooper & Lu, PLDI 1997). MIT license; see LICENSE.
@@ -16,50 +16,64 @@ using namespace rpcc;
 
 namespace {
 
-/// served.* cache metric handles, registered once. Hit/miss/coalesce splits
-/// are Volatile: which of N racing connections pays the miss is a scheduling
-/// accident. Build latency is count-stable per corpus.
-struct ServedCacheMetrics {
-  Counter Hits, Misses, Evictions, Coalesced, Bypass;
+/// The store's metric handles, registered once. Outcome splits are
+/// Volatile: which of N racing callers pays the miss is a scheduling
+/// accident. The stage latencies are count-stable: how many frontends,
+/// analyses and suffixes run is deterministic per workload, their
+/// durations are wall time.
+struct StoreMetrics {
+  Counter Hits, Misses, Coalesced, Bypass, Evictions;
   Gauge Bytes, Entries, Inflight;
-  Histogram BuildUs;
-  ServedCacheMetrics() {
+  Histogram FrontendUs, AnalysisUs, SuffixUs;
+  StoreMetrics() {
     auto &R = MetricsRegistry::global();
-    Hits = R.counter("served.cache_hits", {}, MetricStability::Volatile,
-                     "ops", "Artifact cache hits (request served from LRU).");
-    Misses = R.counter("served.cache_misses", {}, MetricStability::Volatile,
-                       "ops", "Artifact cache misses (this request built).");
-    Evictions =
-        R.counter("served.cache_evictions", {}, MetricStability::Volatile,
-                  "ops", "Whole artifacts evicted to respect --cache-mb.");
-    Coalesced =
-        R.counter("served.coalesced", {}, MetricStability::Volatile, "ops",
-                  "Requests that attached to another request's build.");
-    Bypass = R.counter("served.cache_bypass", {}, MetricStability::Volatile,
-                       "ops",
-                       "Content-hash collisions compiled privately.");
-    Bytes = R.gauge("served.cache_bytes", {}, MetricStability::Volatile,
-                    "bytes", "Estimated bytes held by cached artifacts.");
-    Entries = R.gauge("served.cache_entries", {}, MetricStability::Volatile,
-                      "ops", "Artifacts resident in the cache.");
-    Inflight = R.gauge("served.inflight", {}, MetricStability::Volatile,
-                       "ops", "Artifact builds currently in flight.");
-    BuildUs = R.histogram("served.build_us", {}, MetricStability::Volatile,
-                          "us",
-                          "Frontend+analysis latency for cache misses.");
+    auto Ops = [&](const char *Name, const char *Help) {
+      return R.counter(Name, {}, MetricStability::Volatile, "ops", Help);
+    };
+    Hits = Ops("cache.hits", "Prefix store calls that built nothing.");
+    Misses = Ops("cache.misses",
+                 "Prefix store calls that ran the frontend or an analysis.");
+    Coalesced = Ops("cache.coalesced",
+                    "Calls that waited on another call's frontend build.");
+    Bypass = Ops("cache.bypass",
+                 "Content-key collisions compiled privately, uncached.");
+    Evictions = Ops("cache.evictions",
+                    "Whole artifacts evicted to respect the byte budget.");
+    Bytes = R.gauge("cache.bytes", {}, MetricStability::Volatile, "bytes",
+                    "Estimated resident bytes of cached prefixes.");
+    Entries = R.gauge("cache.entries", {}, MetricStability::Volatile, "ops",
+                      "Artifacts resident in prefix stores.");
+    Inflight = R.gauge("cache.inflight", {}, MetricStability::Volatile,
+                       "ops", "Frontend builds currently in flight.");
+    auto Us = [&](const char *Name, const char *Help) {
+      return R.histogram(Name, {}, MetricStability::CountStable, "us", Help);
+    };
+    FrontendUs = Us("compile.frontend_us",
+                    "Frontend stage latency (lex..cfg-normalize).");
+    AnalysisUs = Us("compile.analysis_us", "Alias analysis stage latency.");
+    SuffixUs = Us("compile.suffix_us",
+                  "Config-dependent compile suffix latency.");
   }
 };
 
-ServedCacheMetrics &servedMetrics() {
-  static ServedCacheMetrics M;
+StoreMetrics &storeMetrics() {
+  static StoreMetrics M;
   return M;
+}
+
+size_t kindIndex(AnalysisKind Kind) {
+  return Kind == AnalysisKind::PointsTo ? 1 : 0;
 }
 
 /// Estimated resident footprint of one artifact stage: the module's static
 /// op count times a per-op constant covering the instruction, its operand
-/// vectors, and its share of block/table overhead. Deliberately coarse —
-/// the budget bounds memory growth, it does not meter allocations.
-constexpr size_t kBytesPerOp = 64;
+/// vectors, and its share of the blocks, functions, tag tables and layout
+/// the module holds. Calibrated against glibc's heap counters: the 14
+/// benchmark programs' prefixes (14,286 ops over the frontend and both
+/// analyzed modules) hold 4.15 MB, 286 B per op once the sources and entry
+/// overheads are taken out. ServedTest's ByteChargeMatchesMeasuredAllocation
+/// keeps the estimate within 2x of that measurement.
+constexpr size_t kBytesPerOp = 288;
 constexpr size_t kEntryOverhead = 512;
 
 size_t moduleBytes(const std::unique_ptr<Module> &M) {
@@ -72,6 +86,13 @@ size_t artifactBytes(const ServedArtifact &Art) {
   for (const AnalyzedModule &AM : Art.AM)
     N += AM.Errors.size() + moduleBytes(AM.M);
   return N;
+}
+
+/// Runs the frontend over \p Art's source under \p Stages.
+void buildFrontend(ServedArtifact &Art, const StageOptions &Stages) {
+  uint64_t T0 = metricsNowUs();
+  Art.FA = runFrontend(Art.Source, Stages);
+  storeMetrics().FrontendUs.observe(metricsNowUs() - T0);
 }
 
 } // namespace
@@ -98,7 +119,14 @@ std::string ArtifactCache::contentKey(const std::string &Source) {
 }
 
 ArtifactCache::ArtifactCache(size_t BudgetBytes) : Budget(BudgetBytes) {
-  servedMetrics(); // register gauges before the first scrape
+  storeMetrics(); // register gauges before the first scrape
+}
+
+ArtifactCache::~ArtifactCache() {
+  StoreMetrics &SM = storeMetrics();
+  SM.Bytes.add(-PubBytes);
+  SM.Entries.add(-PubEntries);
+  SM.Inflight.add(-PubInflight);
 }
 
 size_t ArtifactCache::bytes() const {
@@ -118,7 +146,6 @@ std::shared_ptr<ServedArtifact> ArtifactCache::peek(const std::string &Key) {
 }
 
 void ArtifactCache::evictOverBudgetLocked(const std::string &Keep) {
-  ServedCacheMetrics &SM = servedMetrics();
   while (BytesUsed > Budget && !Lru.empty()) {
     const std::string &Victim = Lru.back();
     if (Victim == Keep)
@@ -130,13 +157,13 @@ void ArtifactCache::evictOverBudgetLocked(const std::string &Keep) {
     Map.erase(It);
     Lru.pop_back();
     Evictions.fetch_add(1, std::memory_order_relaxed);
-    SM.Evictions.inc();
+    storeMetrics().Evictions.inc();
   }
   publishGaugesLocked();
 }
 
 void ArtifactCache::publishGaugesLocked() {
-  ServedCacheMetrics &SM = servedMetrics();
+  StoreMetrics &SM = storeMetrics();
   int64_t B = static_cast<int64_t>(BytesUsed);
   int64_t E = static_cast<int64_t>(Map.size());
   int64_t I = static_cast<int64_t>(Building.size());
@@ -148,13 +175,37 @@ void ArtifactCache::publishGaugesLocked() {
   PubInflight = I;
 }
 
-void ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
-                                   AnalysisKind Kind) {
-  size_t Idx = Kind == AnalysisKind::PointsTo ? 1 : 0;
+void ArtifactCache::count(const Outcome &Out) {
+  StoreMetrics &SM = storeMetrics();
+  if (Out.Miss) {
+    Misses.fetch_add(1, std::memory_order_relaxed);
+    SM.Misses.inc();
+  } else if (Out.Coalesced) {
+    Coalesced.fetch_add(1, std::memory_order_relaxed);
+    SM.Coalesced.inc();
+  } else if (Out.Bypass) {
+    SM.Bypass.inc();
+  } else {
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    SM.Hits.inc();
+  }
+}
+
+bool ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
+                                   AnalysisKind Kind,
+                                   const StageOptions &Stages) {
+  size_t Idx = kindIndex(Kind);
+  bool Ran = false;
   std::call_once(Art->AnalyzedOnce[Idx], [&] {
-    if (Art->FA.Ok)
-      Art->AM[Idx] = analyzeFrontend(Art->FA, Kind);
-    else {
+    Ran = true;
+    if (Art->FA.Ok) {
+      StageOptions SO = Stages;
+      if (SO.Trace)
+        SO.TraceLabel += Idx ? "/points-to" : "/modref";
+      uint64_t T0 = metricsNowUs();
+      Art->AM[Idx] = analyzeFrontend(Art->FA, Kind, SO);
+      storeMetrics().AnalysisUs.observe(metricsNowUs() - T0);
+    } else {
       // Frontend already failed; stamp the analysis stage with the same
       // errors so callers can consult AM[Kind] uniformly.
       Art->AM[Idx].Ok = false;
@@ -178,47 +229,32 @@ void ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
       }
     }
   });
+  return Ran;
 }
 
 std::shared_ptr<ServedArtifact>
 ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
-                   Outcome &Out) {
+                   Outcome &Out, const StageOptions &Stages) {
   Out = Outcome();
-  ServedCacheMetrics &SM = servedMetrics();
-  std::string Key = contentKey(Source);
+  Out.Key = contentKey(Source);
+  const std::string &Key = Out.Key;
 
+  std::shared_ptr<ServedArtifact> Art;
   std::shared_ptr<Inflight> Inf;
   bool Builder = false;
   {
-    std::unique_lock<std::mutex> L(Mu);
+    std::lock_guard<std::mutex> L(Mu);
     auto It = Map.find(Key);
     if (It != Map.end()) {
+      // A resident entry with other bytes is a 128-bit collision: leave it
+      // undisturbed and compile privately below.
       if (It->second.Art->Source == Source) {
-        // Hit: move to MRU and reuse.
-        Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-        std::shared_ptr<ServedArtifact> Art = It->second.Art;
-        L.unlock();
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        SM.Hits.inc();
-        Out.Hit = true;
-        ensureAnalyzed(Art, Kind);
-        return Art;
+        Lru.splice(Lru.begin(), Lru, It->second.LruIt); // now MRU
+        Art = It->second.Art;
+      } else {
+        Out.Bypass = true;
       }
-      // 128-bit collision: do not disturb the resident entry; compile
-      // privately below.
-      L.unlock();
-      Bypass.fetch_add(1, std::memory_order_relaxed);
-      SM.Bypass.inc();
-      Out.Bypass = true;
-      auto Art = std::make_shared<ServedArtifact>();
-      Art->Key = Key;
-      Art->Source = Source;
-      Art->FA = runFrontend(Source);
-      ensureAnalyzed(Art, Kind);
-      return Art;
-    }
-    auto BIt = Building.find(Key);
-    if (BIt != Building.end()) {
+    } else if (auto BIt = Building.find(Key); BIt != Building.end()) {
       Inf = BIt->second;
     } else {
       Inf = std::make_shared<Inflight>();
@@ -228,39 +264,45 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
     }
   }
 
-  if (!Builder) {
+  if (Inf && !Builder) {
     // Coalesce: wait for the builder's publication.
     std::unique_lock<std::mutex> L(Inf->Mu);
     Inf->Cv.wait(L, [&] { return Inf->Done; });
-    std::shared_ptr<ServedArtifact> Art = Inf->Art;
+    Art = Inf->Art;
     L.unlock();
     if (Art->Source == Source) {
-      Coalesced.fetch_add(1, std::memory_order_relaxed);
-      SM.Coalesced.inc();
       Out.Coalesced = true;
-      ensureAnalyzed(Art, Kind);
-      return Art;
+    } else {
+      Art = nullptr; // collided with the in-flight build's source
+      Out.Bypass = true;
     }
-    // Collided with the in-flight build's source: private compile.
-    Bypass.fetch_add(1, std::memory_order_relaxed);
-    SM.Bypass.inc();
-    Out.Bypass = true;
-    auto Mine = std::make_shared<ServedArtifact>();
-    Mine->Key = Key;
-    Mine->Source = Source;
-    Mine->FA = runFrontend(Source);
-    ensureAnalyzed(Mine, Kind);
-    return Mine;
+  }
+
+  if (Art) {
+    // The frontend is built; this call still runs its analysis when no
+    // earlier call asked for that kind, and then it is a miss.
+    if (ensureAnalyzed(Art, Kind, Stages)) {
+      Out.Coalesced = false;
+      Out.Miss = true;
+    } else if (!Out.Coalesced) {
+      Out.Hit = true;
+    }
+    count(Out);
+    return Art;
+  }
+
+  Out.Miss = !Out.Bypass;
+  count(Out);
+  Art = std::make_shared<ServedArtifact>();
+  Art->Key = Key;
+  Art->Source = Source;
+  if (Out.Bypass) {
+    buildFrontend(*Art, Stages);
+    ensureAnalyzed(Art, Kind, Stages);
+    return Art;
   }
 
   // Builder path: compile outside the cache lock, publish, insert.
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  SM.Misses.inc();
-  Out.Miss = true;
-  auto Art = std::make_shared<ServedArtifact>();
-  Art->Key = Key;
-  Art->Source = Source;
-
   // If anything below throws (e.g. std::bad_alloc on a hostile source),
   // the Building slot must still be freed and Done published, or every
   // coalesced waiter blocks on the Cv forever and the key is permanently
@@ -292,10 +334,8 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
     }
   } Guard{this, Key, Inf, Art};
 
-  uint64_t T0 = metricsNowUs();
-  Art->FA = runFrontend(Source);
-  ensureAnalyzed(Art, Kind);
-  SM.BuildUs.observe(metricsNowUs() - T0);
+  buildFrontend(*Art, Stages);
+  ensureAnalyzed(Art, Kind, Stages);
   Art->Charged.store(artifactBytes(*Art), std::memory_order_relaxed);
 
   {
@@ -321,4 +361,18 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
   }
   Inf->Cv.notify_all();
   return Art;
+}
+
+CompileOutput ArtifactCache::compile(const std::string &Source,
+                                     const CompilerConfig &Cfg, Outcome &Out,
+                                     const StageOptions &Stages) {
+  std::shared_ptr<ServedArtifact> Art = get(Source, Cfg.Analysis, Out, Stages);
+  uint64_t T0 = metricsNowUs();
+  CompileOutput CO = compileSuffix(Art->AM[kindIndex(Cfg.Analysis)], Cfg);
+  storeMetrics().SuffixUs.observe(metricsNowUs() - T0);
+  if (Out.Miss || Out.Bypass)
+    CO.Timing.CacheMisses = 1;
+  else
+    CO.Timing.CacheHits = 1;
+  return CO;
 }

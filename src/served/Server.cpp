@@ -172,41 +172,21 @@ std::string httpJson(int Status, const std::string &Body, bool KeepAlive) {
   return httpResponse(Status, "application/json", Body, KeepAlive);
 }
 
-/// Compiles \p R through \p Cache: the frontend and the analyzed module
-/// come from the cached artifact, the suffix runs for this request. \p Key
-/// and \p Cached receive the artifact's content key and cache outcome.
-CompileOutput compileCached(ArtifactCache &Cache, const CompileRequest &R,
-                            std::string &Key, const char *&Cached) {
-  ArtifactCache::Outcome Out;
-  std::shared_ptr<ServedArtifact> Art = Cache.get(R.Source, R.Analysis, Out);
-  Key = Art->Key;
-  Cached = cachedName(Out);
-  const AnalyzedModule &AM =
-      Art->AM[R.Analysis == AnalysisKind::PointsTo ? 1 : 0];
-  if (AM.Ok)
-    return compileSuffix(AM, configFor(R));
-  CompileOutput CO;
-  CO.Ok = false;
-  CO.Errors = AM.Errors;
-  return CO;
-}
-
 /// The /compile body: status, artifact provenance and the compiled
 /// module's static figures.
 std::string compileBody(const CompileRequest &R, const CompileOutput &CO,
-                        const std::string &Key, const char *Cached,
-                        double WallMs) {
+                        const ArtifactCache::Outcome &How, double WallMs) {
   std::string B = "{\"status\":";
   if (CO.Ok) {
-    B += "\"ok\",\"key\":\"" + Key + "\"";
-    B += ",\"cached\":\"" + std::string(Cached) + "\"";
+    B += "\"ok\",\"key\":\"" + How.Key + "\"";
+    B += ",\"cached\":\"" + std::string(cachedName(How)) + "\"";
     B += ",\"analysis\":\"" + std::string(analysisName(R.Analysis)) + "\"";
     B += ",\"static_ops\":" + std::to_string(CO.M ? countStaticOps(*CO.M) : 0);
     B += ",\"promoted_tags\":" + std::to_string(CO.Stats.Promo.PromotedTags);
     B += ",\"rewritten_ops\":" + std::to_string(CO.Stats.Promo.RewrittenOps);
   } else {
-    B += "\"error\",\"key\":\"" + Key + "\"";
-    B += ",\"cached\":\"" + std::string(Cached) + "\"";
+    B += "\"error\",\"key\":\"" + How.Key + "\"";
+    B += ",\"cached\":\"" + std::string(cachedName(How)) + "\"";
     B += ",\"error\":\"" + jsonEscape(CO.Errors) + "\"";
   }
   char Wall[32];
@@ -455,10 +435,9 @@ std::string Server::handleCompile(const HttpRequest &Req) {
     return httpJson(400, jsonError(R.Error), Req.KeepAlive);
 
   double T0 = timingNowMs();
-  std::string Key;
-  const char *Cached = nullptr;
-  CompileOutput CO = compileCached(Cache, R, Key, Cached);
-  return httpJson(200, compileBody(R, CO, Key, Cached, timingNowMs() - T0),
+  ArtifactCache::Outcome How;
+  CompileOutput CO = Cache.compile(R.Source, configFor(R), How);
+  return httpJson(200, compileBody(R, CO, How, timingNowMs() - T0),
                   Req.KeepAlive);
 }
 
@@ -510,9 +489,10 @@ std::string Server::handleRun(const HttpRequest &Req) {
   // Compile in the parent through the cache, then execute in a sandboxed
   // child: the child inherits the compiled module copy-on-write and the
   // worst it can do is produce a classified verdict.
-  std::string Key;
-  const char *Cached = nullptr;
-  CompileOutput CO = compileCached(Cache, R, Key, Cached);
+  ArtifactCache::Outcome How;
+  CompileOutput CO = Cache.compile(R.Source, configFor(R), How);
+  const std::string &Key = How.Key;
+  const char *Cached = cachedName(How);
   if (!CO.Ok) {
     std::string B = "{\"status\":\"error\",\"key\":\"" + Key +
                     "\",\"cached\":\"" + Cached + "\",\"error\":\"" +

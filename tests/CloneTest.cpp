@@ -1,6 +1,6 @@
 //===- tests/CloneTest.cpp - Module deep-clone tests ----------------------===//
 //
-// Module::clone() is the compile cache's forking primitive: every cached
+// Module::clone() is the prefix store's forking primitive: every cached
 // frontend/analysis artifact is handed out only as a clone, never as the
 // cached instance. These tests pin the clone contract down — a clone prints
 // byte-identically, verifies cleanly, shares no mutable state with its
@@ -11,11 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 #include "frontend/Lowering.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "served/ArtifactCache.h"
 
 #include <gtest/gtest.h>
 
@@ -124,21 +124,29 @@ TEST(CloneTest, SuffixFromCloneMatchesMonolithicPipeline) {
 }
 
 TEST(CloneTest, CacheForksAreIndependent) {
-  // Two compiles of the same program through one cache must not alias: the
-  // second result is unaffected by mutating the first.
-  CompileCache Cache;
+  // Two compiles of the same program through one prefix store must not
+  // alias: the second result is unaffected by mutating the first. Both
+  // equal the monolithic pipeline's module.
+  ArtifactCache Cache(ArtifactCache::Unbounded);
   CompilerConfig Cfg;
   Cfg.Analysis = AnalysisKind::ModRef;
-  CompileOutput A = Cache.compile("prog", kProgram, Cfg);
+  ArtifactCache::Outcome How;
+  CompileOutput A = Cache.compile(kProgram, Cfg, How);
   ASSERT_TRUE(A.Ok) << A.Errors;
+  EXPECT_TRUE(How.Miss);
+  EXPECT_EQ(How.Key, ArtifactCache::contentKey(kProgram));
+  EXPECT_EQ(A.Timing.CacheMisses, 1u);
   std::string Ref = printModule(*A.M);
+  EXPECT_EQ(Ref, printModule(*compileProgram(kProgram, Cfg).M));
 
   Function *F = A.M->function(A.M->lookup("main"));
   ASSERT_NE(F, nullptr);
   F->entry()->insts().front()->Op = Opcode::Ret;
 
-  CompileOutput B = Cache.compile("prog", kProgram, Cfg);
+  CompileOutput B = Cache.compile(kProgram, Cfg, How);
   ASSERT_TRUE(B.Ok) << B.Errors;
+  EXPECT_TRUE(How.Hit);
+  EXPECT_EQ(B.Timing.CacheHits, 1u);
   EXPECT_EQ(printModule(*B.M), Ref);
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cache.misses(), 1u);

@@ -566,6 +566,29 @@ TEST(Metrics, SuiteCanonIsJobsIndependent) {
   R.reset();
 }
 
+/// A counter sample as a registry snapshot would hold it.
+MetricSample counterSample(const std::string &Name, int64_t Value) {
+  MetricSample S;
+  S.Name = Name;
+  S.Kind = MetricKind::Counter;
+  S.Value = Value;
+  return S;
+}
+
+TEST(Metrics, HeartbeatReportsOneCacheHitRate) {
+  Heartbeat HB(0, "rpserved"); // no thread; lines are formatted on demand
+  std::string Line =
+      HB.formatLine({counterSample("cache.hits", 3),
+                     counterSample("cache.misses", 1),
+                     counterSample("served.requests", 8)},
+                    2.0);
+  EXPECT_EQ(Line, "rpserved: heartbeat: 8 reqs (4.0/s), cache 75.0% hit");
+  // No prefix-store traffic, no hit-rate part.
+  Line = HB.formatLine({counterSample("suite.cells", 4)}, 1.0);
+  EXPECT_EQ(Line, "rpserved: heartbeat: 4 cells");
+  EXPECT_EQ(HB.formatLine({}, 1.0), "rpserved: heartbeat: warming up");
+}
+
 // The acceptance invariant: jobs.outcome counters partition exactly like
 // the JobLog's status taxonomy — every logged record is counted once under
 // its final status, sandboxed or inline.

@@ -356,4 +356,67 @@ TEST(SuiteSharingTest, SuiteRunsOnePerImage) {
   }
 }
 
+/// Histogram population of \p Name in \p Samples.
+uint64_t histCount(const std::vector<MetricSample> &Samples,
+                   const std::string &Name) {
+  uint64_t Count = 0, Sum = 0;
+  metricsHistTotals(Samples, Name, Count, Sum);
+  return Count;
+}
+
+TEST(SuitePrefixStoreTest, PrefixBuiltOncePerProgram) {
+  // A whole suite compiles through one store: one frontend per program,
+  // one analysis per (program, kind), one suffix per cell, and a miss for
+  // exactly the calls that ran the frontend or an analysis.
+  const size_t Programs = benchProgramNames().size();
+  for (unsigned Jobs : {1u, 4u}) {
+    SuiteOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.CollectTiming = true;
+    std::vector<MetricSample> S0 = MetricsRegistry::global().snapshot();
+    std::vector<ProgramResults> All = runSuite(benchProgramNames(), Opts);
+    std::vector<MetricSample> S1 = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(histCount(S1, "compile.frontend_us") -
+                  histCount(S0, "compile.frontend_us"),
+              Programs)
+        << "Jobs=" << Jobs;
+    EXPECT_EQ(histCount(S1, "compile.analysis_us") -
+                  histCount(S0, "compile.analysis_us"),
+              2 * Programs)
+        << "Jobs=" << Jobs;
+    EXPECT_EQ(histCount(S1, "compile.suffix_us") -
+                  histCount(S0, "compile.suffix_us"),
+              4 * Programs)
+        << "Jobs=" << Jobs;
+    EXPECT_EQ(metricsValue(S1, "cache.misses") -
+                  metricsValue(S0, "cache.misses"),
+              static_cast<int64_t>(2 * Programs))
+        << "Jobs=" << Jobs;
+    // The suite's own tally counts a coalesced call as a hit.
+    uint64_t Hits = 0, Misses = 0;
+    for (const ProgramResults &PR : All) {
+      Hits += PR.Timing.CacheHits;
+      Misses += PR.Timing.CacheMisses;
+    }
+    EXPECT_EQ(Misses, 2 * Programs) << "Jobs=" << Jobs;
+    EXPECT_EQ(Hits, 2 * Programs) << "Jobs=" << Jobs;
+  }
+}
+
+TEST(SuitePrefixStoreTest, StoreGaugesWithdrawnAfterEachCall) {
+  // Each runAllConfigs builds its own store; once it returns, nothing it
+  // cached may stay counted in the gauges.
+  auto Gauges = [] {
+    std::vector<MetricSample> S = MetricsRegistry::global().snapshot();
+    return std::make_pair(metricsValue(S, "cache.bytes"),
+                          metricsValue(S, "cache.entries"));
+  };
+  auto Before = Gauges();
+  for (int I = 0; I != 2; ++I) {
+    ProgramResults PR = runAllConfigs("fft", loadBenchProgram("fft"));
+    ASSERT_TRUE(PR.R[0][0].Ok) << PR.R[0][0].Error;
+    EXPECT_EQ(Gauges(), Before);
+  }
+}
+
 } // namespace

@@ -45,7 +45,8 @@ void printUsage() {
       "  --host=ADDR          bind address (default 127.0.0.1)\n"
       "  --port=N             TCP port; 0 picks an ephemeral port and\n"
       "                       prints it (default 0)\n"
-      "  --cache-mb=N         artifact cache byte budget (default 64)\n"
+      "  --cache-mb=N         bound on the estimated resident MB of\n"
+      "                       cached prefixes (default 64)\n"
       "  --workers=N          request worker threads (default 4)\n"
       "  --max-connections=N  open-socket cap (default 256)\n"
       "  --idle-timeout=SECS  close idle/slow connections (default 30)\n"
