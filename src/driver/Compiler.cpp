@@ -7,6 +7,7 @@
 #include "analysis/CfgNormalize.h"
 #include "frontend/Lowering.h"
 #include "ir/Verifier.h"
+#include "obs/Metrics.h"
 #include "obs/Remark.h"
 #include "obs/ResidualAudit.h"
 #include "obs/Trace.h"
@@ -24,6 +25,31 @@ void normalizeAll(Module &M) {
     if (!F->isBuiltin() && F->numBlocks())
       normalizeLoops(*F);
   }
+}
+
+/// The stage latencies, observed wherever a stage runs: through the prefix
+/// store or in place. Count-stable: how many frontends, analyses and
+/// suffixes run is deterministic per workload, their durations are wall
+/// time.
+struct StageMetrics {
+  Histogram FrontendUs, AnalysisUs, SuffixUs;
+  StageMetrics() {
+    auto &R = MetricsRegistry::global();
+    auto Us = [&](const char *Name, const char *Help) {
+      return R.histogram(Name, {}, MetricStability::CountStable, "us", Help);
+    };
+    FrontendUs = Us("compile.frontend_us",
+                    "Frontend stage latency (lex..cfg-normalize).");
+    AnalysisUs = Us("compile.analysis_us", "Alias analysis stage latency.");
+    SuffixUs = Us("compile.suffix_us",
+                  "Config-dependent compile suffix latency (suffixes that "
+                  "ran).");
+  }
+};
+
+StageMetrics &stageMetrics() {
+  static StageMetrics M;
+  return M;
 }
 
 } // namespace
@@ -101,47 +127,51 @@ void analyzeInto(Module &M, AnalysisKind Kind, PassRunner &R) {
 }
 
 /// Stage 3 body: everything configuration-dependent, from the fuzzer's
-/// analysis-widening hook through verification and the residual audit.
-/// Sets Out.Ok/Out.Errors; Out.M must already alias M.
-void suffixInto(Module &M, CompileOutput &Out, const CompilerConfig &Cfg,
-                PassRunner &R) {
-  if (Cfg.PostAnalysisHook)
-    Cfg.PostAnalysisHook(M);
+/// analysis-widening hook through verification and the residual audit. It
+/// reads the suffix options \p S and the two inputs that are not a function
+/// of them (\p Hook, \p Remarks), never the analysis kind; \p Audit is
+/// \p Remarks when the residual audit should run. Sets Out.Ok/Out.Errors;
+/// Out.M must already alias M.
+void suffixInto(Module &M, CompileOutput &Out, const SuffixOptions &S,
+                const std::function<void(Module &)> &Hook,
+                RemarkEngine *Remarks, RemarkEngine *Audit, PassRunner &R) {
+  if (Hook)
+    Hook(M);
   R.run("strengthen", [&] { Out.Stats.Strengthen = strengthenOpcodes(M); });
 
   // Register promotion happens "in the early phases of optimization".
-  if (Cfg.ScalarPromotion)
+  if (S.ScalarPromotion)
     R.run("promote", [&] {
-      Out.Stats.Promo = promoteScalars(M, Cfg.Promo, Cfg.Remarks);
+      Out.Stats.Promo = promoteScalars(M, S.Promo, Remarks);
     });
 
-  if (Cfg.EnableOpts) {
+  if (S.EnableOpts) {
     R.run("vn", [&] { Out.Stats.Vn = runValueNumbering(M); });
-    R.run("pre", [&] { Out.Stats.Pre = runPre(M, Cfg.Remarks); });
+    R.run("pre", [&] { Out.Stats.Pre = runPre(M, Remarks); });
     R.run("copy-prop", [&] { propagateCopies(M); });
     R.run("sccp", [&] { Out.Stats.Sccp = runSccp(M); });
     R.run("cleanup", [&] { runCleanup(M); });
     R.run("cfg-normalize", [&] { normalizeAll(M); });
-    R.run("licm", [&] { Out.Stats.Licm = runLicm(M, Cfg.Remarks); });
+    R.run("licm", [&] { Out.Stats.Licm = runLicm(M, Remarks); });
   }
 
   // §3.3 pointer-based promotion runs after LICM has exposed invariant
   // base addresses.
-  if (Cfg.PointerPromotion) {
+  if (S.PointerPromotion) {
     R.run("cfg-normalize", [&] { normalizeAll(M); });
     R.run("ptr-promote", [&] {
-      Out.Stats.PtrPromo = promotePointers(M, Cfg.Remarks);
+      Out.Stats.PtrPromo = promotePointers(M, Remarks);
     });
   }
 
-  if (Cfg.EnableOpts)
+  if (S.EnableOpts)
     R.run("dce", [&] { Out.Stats.DceRemoved = runDce(M); });
 
-  if (Cfg.RegisterAllocation) {
+  if (S.RegisterAllocation) {
     RegAllocOptions RA;
-    RA.NumRegisters = Cfg.NumRegisters;
-    RA.GeorgeCoalescing = !Cfg.ClassicAllocator;
-    RA.Rematerialization = !Cfg.ClassicAllocator;
+    RA.NumRegisters = S.NumRegisters;
+    RA.GeorgeCoalescing = !S.ClassicAllocator;
+    RA.Rematerialization = !S.ClassicAllocator;
     R.run("regalloc", [&] { Out.Stats.RegAlloc = allocateRegisters(M, RA); });
   }
 
@@ -157,13 +187,13 @@ void suffixInto(Module &M, CompileOutput &Out, const CompilerConfig &Cfg,
 
   // Residual audit on the final IL: every surviving in-loop memory op gets
   // a remark with a concrete reason code, so dynamic profiles always join.
-  if (Cfg.Remarks && Cfg.ResidualAudit)
+  if (Audit)
     R.run("residual-audit", [&] {
       ResidualAuditOptions AO;
-      AO.ScalarPromotion = Cfg.ScalarPromotion;
-      AO.PointerPromotion = Cfg.PointerPromotion;
-      AO.PromotionBudget = Cfg.Promo.MaxPromotedPerLoop != 0;
-      auditResidualMemOps(M, AO, *Cfg.Remarks);
+      AO.ScalarPromotion = S.ScalarPromotion;
+      AO.PointerPromotion = S.PointerPromotion;
+      AO.PromotionBudget = S.Promo.MaxPromotedPerLoop != 0;
+      auditResidualMemOps(M, AO, *Audit);
     });
 
   Out.Ok = true;
@@ -180,6 +210,8 @@ FrontendArtifact rpcc::runFrontend(const std::string &Source,
                Opts.TraceLabel};
   FA.Ok = frontendInto(Source, *FA.M, FA.Errors, R);
   FA.WallMillis = timingNowMs() - T0;
+  stageMetrics().FrontendUs.observe(
+      static_cast<uint64_t>(FA.WallMillis * 1000.0));
   return FA;
 }
 
@@ -187,7 +219,6 @@ AnalyzedModule rpcc::analyzeFrontend(const FrontendArtifact &FA,
                                      AnalysisKind Kind,
                                      const StageOptions &Opts) {
   AnalyzedModule AM;
-  AM.Analysis = Kind;
   AM.M = FA.M ? FA.M->clone() : std::make_unique<Module>();
   if (!FA.Ok) {
     AM.Errors = FA.Errors;
@@ -198,6 +229,8 @@ AnalyzedModule rpcc::analyzeFrontend(const FrontendArtifact &FA,
                Opts.TraceLabel};
   analyzeInto(*AM.M, Kind, R);
   AM.WallMillis = timingNowMs() - T0;
+  stageMetrics().AnalysisUs.observe(
+      static_cast<uint64_t>(AM.WallMillis * 1000.0));
   AM.Ok = true;
   return AM;
 }
@@ -206,19 +239,20 @@ CompileOutput rpcc::compileSuffix(const AnalyzedModule &AM,
                                   const CompilerConfig &Cfg) {
   CompileOutput Out;
   PipelineClock Clock(Out, Cfg.CollectTiming);
+  double T0 = timingNowMs();
   Out.M = AM.M ? AM.M->clone() : std::make_unique<Module>();
   if (!AM.Ok) {
     Out.Errors = AM.Errors;
     return Out;
   }
-  assert(Cfg.Analysis == AM.Analysis &&
-         "suffix config disagrees with the analysis baked into the module");
   PassRunner R{*Out.M, Cfg.CollectTiming ? &Out.Timing : nullptr, Cfg.Trace,
                Cfg.TraceLabel};
-  double T0 = Cfg.CollectTiming ? timingNowMs() : 0;
-  suffixInto(*Out.M, Out, Cfg, R);
+  suffixInto(*Out.M, Out, Cfg, Cfg.PostAnalysisHook, Cfg.Remarks,
+             Cfg.ResidualAudit ? Cfg.Remarks : nullptr, R);
+  double Ms = timingNowMs() - T0;
+  stageMetrics().SuffixUs.observe(static_cast<uint64_t>(Ms * 1000.0));
   if (Cfg.CollectTiming)
-    Out.Timing.SuffixMillis = timingNowMs() - T0;
+    Out.Timing.SuffixMillis = Ms;
   return Out;
 }
 
@@ -230,15 +264,26 @@ CompileOutput rpcc::compileProgram(const std::string &Source,
   PassRunner R{*Out.M, Cfg.CollectTiming ? &Out.Timing : nullptr, Cfg.Trace,
                Cfg.TraceLabel};
 
-  double T0 = Cfg.CollectTiming ? timingNowMs() : 0;
-  if (!frontendInto(Source, *Out.M, Out.Errors, R))
+  StageMetrics &SM = stageMetrics();
+  auto Us = [](double FromMs, double ToMs) {
+    return static_cast<uint64_t>((ToMs - FromMs) * 1000.0);
+  };
+  double T0 = timingNowMs();
+  bool Lowered = frontendInto(Source, *Out.M, Out.Errors, R);
+  double T1 = timingNowMs();
+  SM.FrontendUs.observe(Us(T0, T1));
+  if (!Lowered)
     return Out;
   analyzeInto(*Out.M, Cfg.Analysis, R);
-  double T1 = Cfg.CollectTiming ? timingNowMs() : 0;
-  suffixInto(*Out.M, Out, Cfg, R);
+  double T2 = timingNowMs();
+  SM.AnalysisUs.observe(Us(T1, T2));
+  suffixInto(*Out.M, Out, Cfg, Cfg.PostAnalysisHook, Cfg.Remarks,
+             Cfg.ResidualAudit ? Cfg.Remarks : nullptr, R);
+  double T3 = timingNowMs();
+  SM.SuffixUs.observe(Us(T2, T3));
   if (Cfg.CollectTiming) {
-    Out.Timing.FrontendMillis = T1 - T0;
-    Out.Timing.SuffixMillis = timingNowMs() - T1;
+    Out.Timing.FrontendMillis = T2 - T0;
+    Out.Timing.SuffixMillis = T3 - T2;
   }
   return Out;
 }

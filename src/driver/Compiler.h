@@ -30,6 +30,7 @@
 #include "promote/ScalarPromotion.h"
 #include "regalloc/GraphColoring.h"
 
+#include <compare>
 #include <functional>
 #include <memory>
 #include <string>
@@ -44,8 +45,11 @@ enum class AnalysisKind {
   PointsTo ///< points-to analysis feeding a MOD/REF refresh
 };
 
-struct CompilerConfig {
-  AnalysisKind Analysis = AnalysisKind::ModRef;
+/// The options that determine the compiled module, given an analyzed
+/// module: the key of the store's suffix level (served/ArtifactCache), next
+/// to the analyzed module's identity. Compared by value; a field added
+/// here joins the key by itself.
+struct SuffixOptions {
   bool ScalarPromotion = true;
   bool PointerPromotion = false; ///< §3.3 extension, benched separately
   bool EnableOpts = true;        ///< VN, PRE, SCCP, LICM, DCE, cleanup
@@ -60,6 +64,15 @@ struct CompilerConfig {
   /// ("these allocators are known to over-spill in tight situations").
   bool ClassicAllocator = false;
   PromotionOptions Promo;
+
+  auto operator<=>(const SuffixOptions &) const = default;
+};
+
+/// A whole compile: the analysis kind, the suffix options, and what a
+/// compile carries besides its key (the fuzzer's hook, remarks, timing,
+/// tracing).
+struct CompilerConfig : SuffixOptions {
+  AnalysisKind Analysis = AnalysisKind::ModRef;
   /// Invoked right after alias analysis annotates the module (tag lists and
   /// call MOD/REF summaries) and before opcode strengthening and promotion
   /// consume them. The fuzzer's fault injector uses this to conservatively
@@ -122,11 +135,14 @@ struct CompileOutput {
 //   3. compileSuffix    — everything configuration-dependent: the
 //                         post-analysis hook, opcode strengthening,
 //                         promotion, scalar opts, register allocation.
-//                         Forks the analyzed module per cell.
+//                         Forks the analyzed module; depends on (analyzed
+//                         module, SuffixOptions) only.
 //
 // Stages never mutate their input artifact, so one artifact can feed any
 // number of concurrent downstream stages (see served/ArtifactCache.h, the
-// prefix store the suite, the fuzzer and rpserved compile through).
+// store the suite, the fuzzer and rpserved compile through, which builds
+// each distinct suffix once). Each stage observes its latency in
+// compile.{frontend,analysis,suffix}_us wherever it runs.
 // compileProgram() below runs all three stages in place with no forks; it
 // produces byte-identical results because every cross-stage handoff is a
 // faithful deep copy.
@@ -163,7 +179,6 @@ struct FrontendArtifact {
 struct AnalyzedModule {
   bool Ok = false;
   std::string Errors;
-  AnalysisKind Analysis = AnalysisKind::ModRef;
   std::unique_ptr<Module> M;
   TimingReport Timing;
   double WallMillis = 0;
@@ -182,7 +197,8 @@ AnalyzedModule analyzeFrontend(const FrontendArtifact &FA, AnalysisKind Kind,
 /// Runs the configuration-dependent suffix (post-analysis hook through
 /// verification and the residual audit) on a fresh fork of \p AM. \p AM is
 /// not mutated, so concurrent calls against one analyzed module are safe.
-/// Cfg.Analysis must match AM.Analysis.
+/// The suffix never reads Cfg.Analysis: the analysis is already baked into
+/// \p AM, so two kinds with identical analyzed modules compile alike.
 CompileOutput compileSuffix(const AnalyzedModule &AM,
                             const CompilerConfig &Cfg);
 

@@ -33,25 +33,28 @@ namespace {
 /// does not run: it copies that cell's run once every cell is done. Cells
 /// decide in matrix order, each against the modules of the earlier cells
 /// that run, so neither the number of runs nor the cells that carry them
-/// depend on thread timing.
+/// depend on thread timing. Cells of one suffix key get one module from
+/// the store; cells with different keys can still compile alike (sim).
 class SharedRuns {
 public:
   /// Cell \p Cell's decision once it has compiled. \p M is its module, or
   /// null for a cell that never shares (the profiled one). Returns the
   /// earliest earlier cell with an identical module, or -1 when the cell
-  /// runs its own; the table then keeps \p M for later cells to compare
-  /// against. Waits for the earlier cells' decisions, which never wait on a
-  /// later cell: parallelFor claims indices in ascending order, so every
-  /// earlier cell is already on a worker, or done.
+  /// runs its own. The table keeps \p M until the program's last cell
+  /// ends, whether the cell runs or not, so a later cell of the same suffix
+  /// key finds it live in the store at any --jobs. Waits for the earlier
+  /// cells' decisions, which never wait on a later cell: parallelFor claims
+  /// indices in ascending order, so every earlier cell is already on a
+  /// worker, or done.
   int decide(int Cell, const std::shared_ptr<const Module> &M) {
     std::unique_lock<std::mutex> L(Mu);
     for (int I = 0; M && I != Cell && RunOf[Cell] < 0; ++I) {
       Changed.wait(L, [&] { return Decided[I]; });
-      if (Images[I] && identicalModules(*Images[I], *M))
+      if (RunOf[I] < 0 && Images[I] &&
+          (Images[I] == M || identicalModules(*Images[I], *M)))
         RunOf[Cell] = I;
     }
-    if (RunOf[Cell] < 0)
-      Images[Cell] = M;
+    Images[Cell] = M;
     Decided[Cell] = true;
     Changed.notify_all();
     return RunOf[Cell];
@@ -84,12 +87,30 @@ private:
   int Ended = 0;
 };
 
-/// Compiles and runs one matrix cell. The cell owns its Module (forked from
-/// \p Cache's prefix when caching, built from source when not) and
-/// RemarkEngine, so any number of cells may run on different threads
-/// concurrently. With
-/// \p Share, a cell whose module repeats an earlier cell's skips the run;
-/// its counts then hold only what its compile produced.
+/// Compiles \p Source under \p Cfg, through \p Cache when it is set.
+CompiledSuffix compileCell(const std::string &Name, const std::string &Source,
+                           const CompilerConfig &Cfg, const SuiteOptions &Opts,
+                           ArtifactCache *Cache) {
+  if (!Cache)
+    return CompiledSuffix(compileProgram(Source, Cfg));
+  // The prefix spans carry the program name, not the cell's, so the trace
+  // skeleton does not depend on which cell built the prefix; a suffix the
+  // store builds adds its suffix options to that name.
+  StageOptions Stages;
+  Stages.CollectTiming = Opts.CollectTiming;
+  Stages.Trace = Opts.Trace;
+  if (Opts.Trace)
+    Stages.TraceLabel = Name;
+  ArtifactCache::Outcome How;
+  return Cache->compile(Source, Cfg, How, Stages);
+}
+
+/// Compiles and runs one matrix cell. Cells of one suffix key share one
+/// immutable module from \p Cache's suffix level (cells with remarks compile
+/// privately), and the cell's RemarkEngine is its own, so any number of
+/// cells may run on different threads concurrently. With \p Share, a cell
+/// whose module repeats an earlier cell's skips the run; its counts then
+/// hold only what its compile produced.
 ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                         int A, int P, const SuiteOptions &Opts,
                         ArtifactCache *Cache, SharedRuns *Share,
@@ -118,23 +139,10 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                           timingNowMs() - CellT0);
   };
   ConfigCounts C;
-  CompileOutput Out;
-  if (Cache) {
-    // The prefix spans carry the program name, not the cell's, so the
-    // trace skeleton does not depend on which cell built the prefix.
-    StageOptions Stages;
-    Stages.CollectTiming = Opts.CollectTiming;
-    Stages.Trace = Opts.Trace;
-    if (Opts.Trace)
-      Stages.TraceLabel = Name;
-    ArtifactCache::Outcome How;
-    Out = Cache->compile(Source, Cfg, How, Stages);
-  } else {
-    Out = compileProgram(Source, Cfg);
-  }
+  CompiledSuffix Out = compileCell(Name, Source, Cfg, Opts, Cache);
   Timing = std::move(Out.Timing);
-  if (!Out.Ok) {
-    C.Error = Out.Errors;
+  if (!Out.Facts.Ok) {
+    C.Error = Out.Facts.Errors;
     EndSpan();
     return C;
   }
@@ -149,7 +157,7 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
                                       {"cell", suiteCellName(A, P)}});
     }
   }
-  std::shared_ptr<Module> M(std::move(Out.M));
+  std::shared_ptr<const Module> M = std::move(Out.M);
   // The profiled cell's run carries a sink: it neither shares nor is shared.
   if (Share && Share->decide(A * 2 + P, ProfileThisCell ? nullptr : M) >= 0) {
     EndSpan();
@@ -163,7 +171,11 @@ ConfigCounts runOneCell(const std::string &Name, const std::string &Source,
   // diffed against a every-stage-from-scratch run.
   IOpts.JitCodeCache = Opts.UseCompileCache;
   if (ProfileThisCell) {
-    Meta = ProfileMeta::build(*M);
+    // ProfileMeta::build recomputes CFG lists in place; the cell profiles
+    // its own fork, since modules handed out by the store are immutable.
+    std::unique_ptr<Module> Own = M->clone();
+    Meta = ProfileMeta::build(*Own);
+    M = std::move(Own);
     IOpts.Profile = &Meta;
   }
   double T0 = Opts.CollectTiming ? timingNowMs() : 0;
@@ -405,8 +417,8 @@ void mergePrefixTiming(TimingReport &Timing, const ServedArtifact &Art) {
 void runMatrix(std::vector<ProgramResults> &All,
                const std::vector<const std::string *> &Sources,
                const SuiteOptions &Opts) {
-  // One store for all programs: each program's prefix compiles once and
-  // its four cells fork it, whichever workers get there first.
+  // One store for all programs: each program's prefix compiles once, and
+  // each distinct suffix key once, whichever workers get there first.
   std::unique_ptr<ArtifactCache> Cache;
   if (Opts.UseCompileCache)
     Cache = std::make_unique<ArtifactCache>(ArtifactCache::Unbounded);

@@ -34,9 +34,9 @@ struct SuiteOptions {
   bool PointerPromotion = false;
   InterpOptions Interp;
   /// Worker threads fanning out over config cells (and, in runSuite, over
-  /// programs x cells). 1 = serial. Every cell compiles its own Module, so
-  /// results — and therefore the rendered tables — are byte-identical to a
-  /// serial run regardless of Jobs.
+  /// programs x cells). 1 = serial. No cell writes a Module another cell
+  /// can see, so results — and therefore the rendered tables — are
+  /// byte-identical to a serial run regardless of Jobs.
   unsigned Jobs = 1;
   /// Collect per-pass timing into ProgramResults::Timing.
   bool CollectTiming = false;
@@ -53,14 +53,14 @@ struct SuiteOptions {
   /// When non-null, every cell's compile passes add spans to this shared
   /// collector, labeled "program/analysis+promo".
   TraceCollector *Trace = nullptr;
-  /// Share work across cells. The configuration-independent pipeline
-  /// prefix goes through one unbounded prefix store (served/ArtifactCache)
-  /// per call: the frontend runs once per program and each alias analysis
-  /// once per (program, kind); every cell then forks the stored analyzed
-  /// module. Cells whose compiled modules are identical (identicalModules)
-  /// then share one run: the first in matrix order interprets it and the
-  /// others copy its result (never the profiled cell, never sandboxed
-  /// cells). Results are byte-identical either way — the flag exists for
+  /// Share work across cells. Every cell compiles through one unbounded
+  /// store (served/ArtifactCache) per call: the frontend runs once per
+  /// program, each alias analysis once per (program, kind), and each
+  /// distinct suffix key once, the cells of one key sharing its module
+  /// (cells with remarks compile their suffix privately). Cells whose
+  /// compiled modules are identical (identicalModules) then share one run:
+  /// the first in matrix order interprets it and the others copy its
+  /// result (never the profiled cell, never sandboxed cells). Results are byte-identical either way — the flag exists for
   /// A/B verification (`--no-compile-cache`, which compiles and runs every
   /// cell from scratch).
   bool UseCompileCache = true;

@@ -67,17 +67,18 @@ bool checkDiff(const std::string &Src, const std::vector<FuzzConfig> &Matrix,
 /// widen oracle: behavior must survive conservative analysis degradation.
 /// The widening hook runs in the config-dependent suffix, so both runs can
 /// fork one cached points-to prefix: the reference suffix sees the pristine
-/// analysis, the widened suffix degrades its own private fork.
+/// analysis, the widened suffix (which skips the store's suffix level)
+/// degrades its own private fork.
 bool checkWiden(uint64_t Seed, const std::string &Src, InterpEngine Engine,
                 ArtifactCache *Cache, std::string &Why) {
   auto Run = [&](const CompilerConfig &Cfg) {
     if (!Cache)
       return compileAndRun(Src, Cfg, fuzzInterpOptions(Engine, false));
     ArtifactCache::Outcome How;
-    CompileOutput Out = Cache->compile(Src, Cfg, How);
-    if (!Out.Ok) {
+    CompiledSuffix Out = Cache->compile(Src, Cfg, How);
+    if (!Out.Facts.Ok) {
       ExecResult R;
-      R.Error = Out.Errors;
+      R.Error = Out.Facts.Errors;
       return R;
     }
     return interpret(*Out.M, fuzzInterpOptions(Engine, true));

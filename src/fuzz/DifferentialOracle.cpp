@@ -95,6 +95,10 @@ OracleResult rpcc::checkProgram(const std::string &Source,
   // must not depend on. Index 0 = modref, 1 = points-to.
   std::string PromoRemarks[2], PromoRemarksName[2];
   bool HavePromoRemarks[2] = {false, false};
+  // Every cell's module stays live until the matrix is done, so a later
+  // cell of the same suffix key (the other analysis kind, when the two
+  // analyzed modules are identical) takes it from the store, not rebuilt.
+  std::vector<std::shared_ptr<const Module>> Live;
   for (size_t I = 0; I != Matrix.size(); ++I) {
     const FuzzConfig &C = Matrix[I];
     RemarkEngine Re;
@@ -106,12 +110,13 @@ OracleResult rpcc::checkProgram(const std::string &Source,
     ExecResult E;
     {
       ArtifactCache::Outcome How;
-      CompileOutput Out = Cache ? Cache->compile(Source, Cfg, How)
-                                : compileProgram(Source, Cfg);
-      if (!Out.Ok) {
-        E.Error = Out.Errors;
+      CompiledSuffix Out = Cache ? Cache->compile(Source, Cfg, How)
+                                 : CompiledSuffix(compileProgram(Source, Cfg));
+      if (!Out.Facts.Ok) {
+        E.Error = Out.Facts.Errors;
       } else {
         E = interpret(*Out.M, IO);
+        Live.push_back(std::move(Out.M));
       }
     }
     if (!E.Ok) {

@@ -62,9 +62,10 @@ struct OracleResult {
 
 /// Compiles and runs \p Source under every cell of \p Matrix and compares
 /// observable behavior (exit code, stdout) against cell 0. When \p Cache is
-/// non-null the cells share its stored prefix (the matrix re-compiles one
-/// program dozens of times, so this is the fuzzer's hot path); the verdict
-/// is identical with or without a store.
+/// non-null the cells share its stored prefix, and cells of one suffix key
+/// share one module (the matrix re-compiles one program dozens of times, so
+/// this is the fuzzer's hot path); the verdict is identical with or without
+/// a store.
 OracleResult checkProgram(const std::string &Source,
                           const std::vector<FuzzConfig> &Matrix,
                           const InterpOptions &IO = {},

@@ -39,6 +39,7 @@
 
 #include "ir/Module.h"
 
+#include <compare>
 #include <vector>
 
 namespace rpcc {
@@ -54,6 +55,8 @@ struct PromotionOptions {
   /// loop, a crude register-pressure throttle in the spirit of Carr's
   /// bin-packing remedy the paper proposes as future work.
   unsigned MaxPromotedPerLoop = 0;
+
+  auto operator<=>(const PromotionOptions &) const = default;
 };
 
 /// The four Figure 1 sets for one loop; exposed for tests and for the

@@ -1,4 +1,4 @@
-//===- served/ArtifactCache.cpp - The content-keyed prefix store ---------===//
+//===- served/ArtifactCache.cpp - The content-keyed stage store -----------===//
 //
 // Part of rpcc, a reproduction of "Register Promotion in C Programs"
 // (Cooper & Lu, PLDI 1997). MIT license; see LICENSE.
@@ -16,15 +16,15 @@ using namespace rpcc;
 
 namespace {
 
-/// The store's metric handles, registered once. Outcome splits are
+/// The store's metric handles, registered once. Prefix outcome splits are
 /// Volatile: which of N racing callers pays the miss is a scheduling
-/// accident. The stage latencies are count-stable: how many frontends,
-/// analyses and suffixes run is deterministic per workload, their
-/// durations are wall time.
+/// accident. Suffix hits are Stable: a key builds once, so in the suite and
+/// the fuzzer (which keep their modules live) the count is deterministic.
+/// The stage latencies (compile.*_us) are observed by the stages
+/// themselves (driver/Compiler.cpp).
 struct StoreMetrics {
-  Counter Hits, Misses, Coalesced, Bypass, Evictions;
+  Counter Hits, Misses, Coalesced, Bypass, Evictions, SuffixHits;
   Gauge Bytes, Entries, Inflight;
-  Histogram FrontendUs, AnalysisUs, SuffixUs;
   StoreMetrics() {
     auto &R = MetricsRegistry::global();
     auto Ops = [&](const char *Name, const char *Help) {
@@ -39,20 +39,17 @@ struct StoreMetrics {
                  "Content-key collisions compiled privately, uncached.");
     Evictions = Ops("cache.evictions",
                     "Whole artifacts evicted to respect the byte budget.");
+    SuffixHits = R.counter("cache.suffix_hits", {}, MetricStability::Stable,
+                           "ops",
+                           "Compiles answered from a suffix slot (facts or a "
+                           "live module) without running the suffix.");
     Bytes = R.gauge("cache.bytes", {}, MetricStability::Volatile, "bytes",
-                    "Estimated resident bytes of cached prefixes.");
+                    "Estimated resident bytes of cached prefixes and "
+                    "suffix slots.");
     Entries = R.gauge("cache.entries", {}, MetricStability::Volatile, "ops",
                       "Artifacts resident in prefix stores.");
     Inflight = R.gauge("cache.inflight", {}, MetricStability::Volatile,
                        "ops", "Frontend builds currently in flight.");
-    auto Us = [&](const char *Name, const char *Help) {
-      return R.histogram(Name, {}, MetricStability::CountStable, "us", Help);
-    };
-    FrontendUs = Us("compile.frontend_us",
-                    "Frontend stage latency (lex..cfg-normalize).");
-    AnalysisUs = Us("compile.analysis_us", "Alias analysis stage latency.");
-    SuffixUs = Us("compile.suffix_us",
-                  "Config-dependent compile suffix latency.");
   }
 };
 
@@ -75,6 +72,12 @@ size_t kindIndex(AnalysisKind Kind) {
 /// keeps the estimate within 2x of that measurement.
 constexpr size_t kBytesPerOp = 288;
 constexpr size_t kEntryOverhead = 512;
+/// One suffix slot: its key, facts, lock and weak module handle, plus the
+/// map node and allocator header around them. The module it shares is
+/// never charged: the store does not own it.
+constexpr size_t kSlotBytes =
+    sizeof(std::pair<const std::pair<size_t, SuffixOptions>, SuffixSlot>) +
+    64;
 
 size_t moduleBytes(const std::unique_ptr<Module> &M) {
   return M ? static_cast<size_t>(countStaticOps(*M)) * kBytesPerOp : 0;
@@ -88,14 +91,43 @@ size_t artifactBytes(const ServedArtifact &Art) {
   return N;
 }
 
-/// Runs the frontend over \p Art's source under \p Stages.
-void buildFrontend(ServedArtifact &Art, const StageOptions &Stages) {
-  uint64_t T0 = metricsNowUs();
-  Art.FA = runFrontend(Art.Source, Stages);
-  storeMetrics().FrontendUs.observe(metricsNowUs() - T0);
+/// Names a suffix key in trace labels ("promote/r16", "no-promote/no-opts/
+/// classic/r8"): a slot build is labelled by what it builds, not by the
+/// caller that happened to build it.
+std::string suffixLabel(const SuffixOptions &S) {
+  std::string L = S.ScalarPromotion ? "promote" : "no-promote";
+  if (S.PointerPromotion)
+    L += "+ptr";
+  if (!S.EnableOpts)
+    L += "/no-opts";
+  if (S.ClassicAllocator)
+    L += "/classic";
+  L += S.RegisterAllocation ? "/r" + std::to_string(S.NumRegisters)
+                            : "/no-regalloc";
+  if (S.Promo.StoreOnlyIfModified)
+    L += "/store-if-modified";
+  if (S.Promo.MaxPromotedPerLoop)
+    L += "/cap" + std::to_string(S.Promo.MaxPromotedPerLoop);
+  return L;
 }
 
 } // namespace
+
+CompiledSuffix::CompiledSuffix(CompileOutput &&CO) {
+  Facts.Ok = CO.Ok;
+  Facts.Errors = std::move(CO.Errors);
+  Facts.Stats = CO.Stats;
+  if (CO.Ok && CO.M) {
+    Facts.StaticOps = countStaticOps(*CO.M);
+    M = std::move(CO.M);
+  }
+  Timing = std::move(CO.Timing);
+}
+
+const AnalyzedModule *ServedArtifact::analyzed(AnalysisKind Kind) const {
+  size_t Idx = kindIndex(Kind);
+  return Published[Idx].load(std::memory_order_acquire) ? &AM[Idx] : nullptr;
+}
 
 std::string ArtifactCache::contentKey(const std::string &Source) {
   // Two independent FNV-1a lanes (different offset bases, the second lane
@@ -191,6 +223,19 @@ void ArtifactCache::count(const Outcome &Out) {
   }
 }
 
+void ArtifactCache::chargeLocked(const std::shared_ptr<ServedArtifact> &Art,
+                                 size_t Bytes) {
+  Art->Charged.fetch_add(Bytes, std::memory_order_relaxed);
+  // Identity check, not just key presence: a collision-bypass artifact
+  // shares its key with a different resident entry, and its private growth
+  // must not be charged to (and never released from) the cache budget.
+  auto It = Map.find(Art->Key);
+  if (It == Map.end() || It->second.Art != Art)
+    return;
+  BytesUsed += Bytes;
+  evictOverBudgetLocked(Art->Key);
+}
+
 bool ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
                                    AnalysisKind Kind,
                                    const StageOptions &Stages) {
@@ -198,36 +243,30 @@ bool ArtifactCache::ensureAnalyzed(const std::shared_ptr<ServedArtifact> &Art,
   bool Ran = false;
   std::call_once(Art->AnalyzedOnce[Idx], [&] {
     Ran = true;
+    AnalyzedModule &AM = Art->AM[Idx];
     if (Art->FA.Ok) {
       StageOptions SO = Stages;
       if (SO.Trace)
         SO.TraceLabel += Idx ? "/points-to" : "/modref";
-      uint64_t T0 = metricsNowUs();
-      Art->AM[Idx] = analyzeFrontend(Art->FA, Kind, SO);
-      storeMetrics().AnalysisUs.observe(metricsNowUs() - T0);
+      AM = analyzeFrontend(Art->FA, Kind, SO);
     } else {
       // Frontend already failed; stamp the analysis stage with the same
       // errors so callers can consult AM[Kind] uniformly.
-      Art->AM[Idx].Ok = false;
-      Art->AM[Idx].Errors = Art->FA.Errors;
-      Art->AM[Idx].Analysis = Kind;
+      AM.Ok = false;
+      AM.Errors = Art->FA.Errors;
     }
-    // Recharge the entry for the stage that just materialized (the second
-    // analysis kind typically arrives after insertion).
-    size_t Now = artifactBytes(*Art);
-    size_t Before = Art->Charged.exchange(Now, std::memory_order_relaxed);
-    if (Now > Before) {
-      std::lock_guard<std::mutex> L(Mu);
-      // Identity check, not just key presence: a collision-bypass artifact
-      // shares its key with a different resident entry, and its private
-      // growth must not be charged to (and never released from) the cache
-      // budget.
-      auto It = Map.find(Art->Key);
-      if (It != Map.end() && It->second.Art == Art) {
-        BytesUsed += Now - Before;
-        evictOverBudgetLocked(Art->Key);
-      }
-    }
+    // The identity class. Only a second kind finds the other published: a
+    // published artifact holds its builder's analysis complete, so this
+    // never compares against a module under construction, at any --jobs.
+    size_t Other = 1 - Idx;
+    if (AM.Ok && Art->Published[Other].load(std::memory_order_acquire) &&
+        Art->AM[Other].Ok && identicalModules(*Art->AM[Other].M, *AM.M))
+      Art->SlotClass[Idx] = Art->SlotClass[Other];
+    Art->Published[Idx].store(true, std::memory_order_release);
+    // Charge the stage that just materialized (the second analysis kind
+    // typically arrives after insertion).
+    std::lock_guard<std::mutex> L(Mu);
+    chargeLocked(Art, AM.Errors.size() + moduleBytes(AM.M));
   });
   return Ran;
 }
@@ -297,7 +336,7 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
   Art->Key = Key;
   Art->Source = Source;
   if (Out.Bypass) {
-    buildFrontend(*Art, Stages);
+    Art->FA = runFrontend(Art->Source, Stages);
     ensureAnalyzed(Art, Kind, Stages);
     return Art;
   }
@@ -334,7 +373,7 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
     }
   } Guard{this, Key, Inf, Art};
 
-  buildFrontend(*Art, Stages);
+  Art->FA = runFrontend(Art->Source, Stages);
   ensureAnalyzed(Art, Kind, Stages);
   Art->Charged.store(artifactBytes(*Art), std::memory_order_relaxed);
 
@@ -363,16 +402,97 @@ ArtifactCache::get(const std::string &Source, AnalysisKind Kind,
   return Art;
 }
 
-CompileOutput ArtifactCache::compile(const std::string &Source,
-                                     const CompilerConfig &Cfg, Outcome &Out,
-                                     const StageOptions &Stages) {
+SuffixSlot *ArtifactCache::slotFor(const std::shared_ptr<ServedArtifact> &Art,
+                                   AnalysisKind Kind,
+                                   const SuffixOptions &Key) {
+  std::lock_guard<std::mutex> L(Art->SlotsMu);
+  std::pair<size_t, SuffixOptions> SlotKey(Art->SlotClass[kindIndex(Kind)],
+                                           Key);
+  auto It = Art->Slots.find(SlotKey);
+  if (It != Art->Slots.end())
+    return &It->second;
+  {
+    std::lock_guard<std::mutex> SL(Mu);
+    auto MIt = Map.find(Art->Key);
+    if (MIt == Map.end() || MIt->second.Art != Art || BytesUsed > Budget ||
+        Budget - BytesUsed < kSlotBytes)
+      return nullptr;
+    Art->Charged.fetch_add(kSlotBytes, std::memory_order_relaxed);
+    BytesUsed += kSlotBytes;
+    publishGaugesLocked();
+  }
+  return &Art->Slots.try_emplace(SlotKey).first->second;
+}
+
+CompiledSuffix ArtifactCache::compileVia(const std::string &Source,
+                                         const CompilerConfig &Cfg,
+                                         Outcome &Out,
+                                         const StageOptions &Stages,
+                                         bool NeedModule) {
   std::shared_ptr<ServedArtifact> Art = get(Source, Cfg.Analysis, Out, Stages);
-  uint64_t T0 = metricsNowUs();
-  CompileOutput CO = compileSuffix(Art->AM[kindIndex(Cfg.Analysis)], Cfg);
-  storeMetrics().SuffixUs.observe(metricsNowUs() - T0);
-  if (Out.Miss || Out.Bypass)
-    CO.Timing.CacheMisses = 1;
-  else
-    CO.Timing.CacheHits = 1;
-  return CO;
+  const AnalyzedModule &AM = Art->AM[kindIndex(Cfg.Analysis)];
+  CompiledSuffix R;
+  auto Stamped = [&]() -> CompiledSuffix {
+    (Out.Miss || Out.Bypass ? R.Timing.CacheMisses : R.Timing.CacheHits) = 1;
+    if (!NeedModule)
+      R.M.reset();
+    return std::move(R);
+  };
+  auto Hit = [&](const SuffixSlot &Slot) {
+    SuffixHits.fetch_add(1, std::memory_order_relaxed);
+    storeMetrics().SuffixHits.inc();
+    R.Facts = Slot.Facts;
+  };
+  // A failed prefix has no suffix to run or share: its errors are the
+  // compile's.
+  if (!AM.Ok) {
+    R.Facts.Errors = AM.Errors;
+    return Stamped();
+  }
+  // Remarks and the fuzzer's hook are not functions of the key.
+  SuffixSlot *Slot = Cfg.Remarks || Cfg.PostAnalysisHook
+                         ? nullptr
+                         : slotFor(Art, Cfg.Analysis, Cfg);
+  if (!Slot) {
+    R = CompiledSuffix(compileSuffix(AM, Cfg));
+    return Stamped();
+  }
+  // Facts never change once built, so a call that needs only them (or
+  // whose key failed) reads them without waiting on a rebuild.
+  auto FactsSuffice = [&] { return !NeedModule || !Slot->Facts.Ok; };
+  if (Slot->Built.load(std::memory_order_acquire) && FactsSuffice()) {
+    Hit(*Slot);
+    return Stamped();
+  }
+  std::lock_guard<std::mutex> L(Slot->BuildMu);
+  bool Built = Slot->Built.load(std::memory_order_relaxed);
+  std::shared_ptr<const Module> Live = Built ? Slot->Live.lock() : nullptr;
+  if (Built && (FactsSuffice() || Live)) {
+    Hit(*Slot);
+    R.M = std::move(Live);
+    return Stamped();
+  }
+  // The key's first build, or a rebuild of a module no caller holds.
+  CompilerConfig SC = Cfg;
+  if (SC.Trace)
+    SC.TraceLabel = (Stages.TraceLabel.empty() ? "" : Stages.TraceLabel + "/") +
+                    suffixLabel(Cfg);
+  R = CompiledSuffix(compileSuffix(AM, SC));
+  if (!Built) {
+    Slot->Facts = R.Facts;
+    Slot->Built.store(true, std::memory_order_release);
+  }
+  Slot->Live = R.M;
+  return Stamped();
+}
+
+CompiledSuffix ArtifactCache::compile(const std::string &Source,
+                                      const CompilerConfig &Cfg, Outcome &Out,
+                                      const StageOptions &Stages) {
+  return compileVia(Source, Cfg, Out, Stages, /*NeedModule=*/true);
+}
+
+SuffixFacts ArtifactCache::facts(const std::string &Source,
+                                 const CompilerConfig &Cfg, Outcome &Out) {
+  return compileVia(Source, Cfg, Out, {}, /*NeedModule=*/false).Facts;
 }

@@ -19,6 +19,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <vector>
@@ -90,6 +91,25 @@ struct CompileRequest {
   std::string Error; ///< non-empty = reject with 400
 };
 
+/// Applies the compiling endpoints' rules to the analysis name and the
+/// register count; sets R.Error on a bad value.
+void setAnalysisAndRegisters(CompileRequest &R, const std::string &Analysis,
+                             double Regs) {
+  if (Analysis == "modref")
+    R.Analysis = AnalysisKind::ModRef;
+  else if (Analysis == "points-to")
+    R.Analysis = AnalysisKind::PointsTo;
+  else {
+    R.Error = "field 'analysis' must be \"modref\" or \"points-to\"";
+    return;
+  }
+  if (Regs < 4 || Regs > 1024 || Regs != std::floor(Regs)) {
+    R.Error = "field 'registers' must be an integer in [4, 1024]";
+    return;
+  }
+  R.Registers = static_cast<unsigned>(Regs);
+}
+
 CompileRequest parseCompileRequest(const std::string &Body) {
   CompileRequest R;
   JsonValue V;
@@ -116,19 +136,39 @@ CompileRequest parseCompileRequest(const std::string &Body) {
     R.Error = "missing required field 'source'";
     return R;
   }
-  if (Analysis == "modref")
-    R.Analysis = AnalysisKind::ModRef;
-  else if (Analysis == "points-to")
-    R.Analysis = AnalysisKind::PointsTo;
-  else {
-    R.Error = "field 'analysis' must be \"modref\" or \"points-to\"";
+  setAnalysisAndRegisters(R, Analysis, Regs);
+  return R;
+}
+
+/// The /remarks query as a compile request: the same fields, defaults and
+/// rules as a /compile body, with booleans spelled 0/1 or false/true.
+CompileRequest parseRemarksQuery(const HttpRequest &Req) {
+  CompileRequest R;
+  auto Bool = [&](const char *Name, bool Default) {
+    std::string V = Req.queryParam(Name);
+    if (V.empty())
+      return Default;
+    if (V == "1" || V == "true")
+      return true;
+    if (V != "0" && V != "false")
+      R.Error = std::string("field '") + Name + "' must be 0, 1, false or true";
+    return false;
+  };
+  R.Promote = Bool("promote", true);
+  R.PointerPromotion = Bool("pointer_promotion", false);
+  R.EnableOpts = Bool("opts", true);
+  if (!R.Error.empty())
     return R;
+  std::string Analysis = Req.queryParam("analysis");
+  std::string RegsStr = Req.queryParam("registers");
+  double Regs = 16;
+  if (!RegsStr.empty()) {
+    char *End = nullptr;
+    Regs = std::strtod(RegsStr.c_str(), &End);
+    if (*End)
+      Regs = -1; // not a number: fails the range check
   }
-  if (Regs < 4 || Regs > 1024 || Regs != std::floor(Regs)) {
-    R.Error = "field 'registers' must be an integer in [4, 1024]";
-    return R;
-  }
-  R.Registers = static_cast<unsigned>(Regs);
+  setAnalysisAndRegisters(R, Analysis.empty() ? "modref" : Analysis, Regs);
   return R;
 }
 
@@ -174,20 +214,20 @@ std::string httpJson(int Status, const std::string &Body, bool KeepAlive) {
 
 /// The /compile body: status, artifact provenance and the compiled
 /// module's static figures.
-std::string compileBody(const CompileRequest &R, const CompileOutput &CO,
+std::string compileBody(const CompileRequest &R, const SuffixFacts &F,
                         const ArtifactCache::Outcome &How, double WallMs) {
   std::string B = "{\"status\":";
-  if (CO.Ok) {
+  if (F.Ok) {
     B += "\"ok\",\"key\":\"" + How.Key + "\"";
     B += ",\"cached\":\"" + std::string(cachedName(How)) + "\"";
     B += ",\"analysis\":\"" + std::string(analysisName(R.Analysis)) + "\"";
-    B += ",\"static_ops\":" + std::to_string(CO.M ? countStaticOps(*CO.M) : 0);
-    B += ",\"promoted_tags\":" + std::to_string(CO.Stats.Promo.PromotedTags);
-    B += ",\"rewritten_ops\":" + std::to_string(CO.Stats.Promo.RewrittenOps);
+    B += ",\"static_ops\":" + std::to_string(F.StaticOps);
+    B += ",\"promoted_tags\":" + std::to_string(F.Stats.Promo.PromotedTags);
+    B += ",\"rewritten_ops\":" + std::to_string(F.Stats.Promo.RewrittenOps);
   } else {
     B += "\"error\",\"key\":\"" + How.Key + "\"";
     B += ",\"cached\":\"" + std::string(cachedName(How)) + "\"";
-    B += ",\"error\":\"" + jsonEscape(CO.Errors) + "\"";
+    B += ",\"error\":\"" + jsonEscape(F.Errors) + "\"";
   }
   char Wall[32];
   std::snprintf(Wall, sizeof(Wall), "%.3f", WallMs);
@@ -434,10 +474,12 @@ std::string Server::handleCompile(const HttpRequest &Req) {
   if (!R.Error.empty())
     return httpJson(400, jsonError(R.Error), Req.KeepAlive);
 
+  // Once the key's suffix slot is built, the reply comes from its facts:
+  // no fork, no pass.
   double T0 = timingNowMs();
   ArtifactCache::Outcome How;
-  CompileOutput CO = Cache.compile(R.Source, configFor(R), How);
-  return httpJson(200, compileBody(R, CO, How, timingNowMs() - T0),
+  SuffixFacts F = Cache.facts(R.Source, configFor(R), How);
+  return httpJson(200, compileBody(R, F, How, timingNowMs() - T0),
                   Req.KeepAlive);
 }
 
@@ -486,17 +528,19 @@ std::string Server::handleRun(const HttpRequest &Req) {
 
   double T0 = timingNowMs();
 
-  // Compile in the parent through the cache, then execute in a sandboxed
+  // Compile in the parent through the store, then execute in a sandboxed
   // child: the child inherits the compiled module copy-on-write and the
-  // worst it can do is produce a classified verdict.
+  // worst it can do is produce a classified verdict. A key whose facts
+  // record an error answers from them; otherwise the store hands over the
+  // live module, or rebuilds it.
   ArtifactCache::Outcome How;
-  CompileOutput CO = Cache.compile(R.Source, configFor(R), How);
+  CompiledSuffix CO = Cache.compile(R.Source, configFor(R), How);
   const std::string &Key = How.Key;
   const char *Cached = cachedName(How);
-  if (!CO.Ok) {
+  if (!CO.Facts.Ok) {
     std::string B = "{\"status\":\"error\",\"key\":\"" + Key +
                     "\",\"cached\":\"" + Cached + "\",\"error\":\"" +
-                    jsonEscape(CO.Errors) + "\"}\n";
+                    jsonEscape(CO.Facts.Errors) + "\"}\n";
     return httpJson(200, B, Req.KeepAlive);
   }
 
@@ -675,33 +719,29 @@ std::string Server::handleRemarks(const HttpRequest &Req) {
   if (Key.empty())
     return httpJson(400, jsonError("missing ?key= query parameter"),
                     Req.KeepAlive);
-  std::string AnalysisStr = Req.queryParam("analysis");
-  AnalysisKind Kind = AnalysisKind::ModRef;
-  if (AnalysisStr == "points-to")
-    Kind = AnalysisKind::PointsTo;
-  else if (!AnalysisStr.empty() && AnalysisStr != "modref")
-    return httpJson(400, jsonError("analysis must be modref or points-to"),
-                    Req.KeepAlive);
-  size_t Idx = Kind == AnalysisKind::PointsTo ? 1 : 0;
+  CompileRequest R = parseRemarksQuery(Req);
+  if (!R.Error.empty())
+    return httpJson(400, jsonError(R.Error), Req.KeepAlive);
 
   std::shared_ptr<ServedArtifact> Art = Cache.peek(Key);
   if (!Art)
     return httpJson(404, jsonError("no cached artifact for key " + Key),
                     Req.KeepAlive);
   // peek() does not build analyses; only report on what a /compile already
-  // materialized.
-  if (!Art->AM[Idx].Ok)
+  // published (a kind still being built is not there yet).
+  const AnalyzedModule *AM = Art->analyzed(R.Analysis);
+  if (!AM || !AM->Ok)
     return httpJson(404,
                     jsonError("artifact has no successful " +
-                              std::string(analysisName(Kind)) + " analysis"),
+                              std::string(analysisName(R.Analysis)) +
+                              " analysis"),
                     Req.KeepAlive);
 
-  CompilerConfig Cfg;
-  Cfg.Analysis = Kind;
-  Cfg.ScalarPromotion = Req.queryParam("promote") != "0";
+  // A compile with remarks skips the suffix level: it runs privately.
+  CompilerConfig Cfg = configFor(R);
   RemarkEngine RE;
   Cfg.Remarks = &RE;
-  CompileOutput CO = compileSuffix(Art->AM[Idx], Cfg);
+  CompileOutput CO = compileSuffix(*AM, Cfg);
   if (!CO.Ok)
     return httpJson(200, jsonError(CO.Errors), Req.KeepAlive);
   return httpResponse(200, "application/x-ndjson",

@@ -1,8 +1,8 @@
 //===- tests/CloneTest.cpp - Module deep-clone tests ----------------------===//
 //
-// Module::clone() is the prefix store's forking primitive: every cached
-// frontend/analysis artifact is handed out only as a clone, never as the
-// cached instance. These tests pin the clone contract down — a clone prints
+// Module::clone() is the prefix store's forking primitive: every suffix
+// runs on a clone of the cached analyzed module, never on the cached
+// instance. These tests pin the clone contract down — a clone prints
 // byte-identically, verifies cleanly, shares no mutable state with its
 // source, and a suffix compiled from a clone matches the monolithic
 // pipeline exactly. identicalModules(), which the suite runner uses to share
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <type_traits>
 
 using namespace rpcc;
 
@@ -124,32 +125,41 @@ TEST(CloneTest, SuffixFromCloneMatchesMonolithicPipeline) {
 }
 
 TEST(CloneTest, CacheForksAreIndependent) {
-  // Two compiles of the same program through one prefix store must not
-  // alias: the second result is unaffected by mutating the first. Both
-  // equal the monolithic pipeline's module.
+  // What the store promises: two compiles with one suffix key get one
+  // immutable module, equal to the monolithic pipeline's, and compiles
+  // with different keys never alias.
+  static_assert(std::is_same_v<decltype(CompiledSuffix::M),
+                               std::shared_ptr<const Module>>,
+                "the store hands out compiled modules read-only");
   ArtifactCache Cache(ArtifactCache::Unbounded);
   CompilerConfig Cfg;
   Cfg.Analysis = AnalysisKind::ModRef;
   ArtifactCache::Outcome How;
-  CompileOutput A = Cache.compile(kProgram, Cfg, How);
-  ASSERT_TRUE(A.Ok) << A.Errors;
+  CompiledSuffix A = Cache.compile(kProgram, Cfg, How);
+  ASSERT_TRUE(A.Facts.Ok) << A.Facts.Errors;
   EXPECT_TRUE(How.Miss);
   EXPECT_EQ(How.Key, ArtifactCache::contentKey(kProgram));
   EXPECT_EQ(A.Timing.CacheMisses, 1u);
-  std::string Ref = printModule(*A.M);
-  EXPECT_EQ(Ref, printModule(*compileProgram(kProgram, Cfg).M));
+  std::string Ref = printModule(*compileProgram(kProgram, Cfg).M);
+  EXPECT_EQ(printModule(*A.M), Ref);
 
-  Function *F = A.M->function(A.M->lookup("main"));
-  ASSERT_NE(F, nullptr);
-  F->entry()->insts().front()->Op = Opcode::Ret;
-
-  CompileOutput B = Cache.compile(kProgram, Cfg, How);
-  ASSERT_TRUE(B.Ok) << B.Errors;
+  CompiledSuffix B = Cache.compile(kProgram, Cfg, How);
+  ASSERT_TRUE(B.Facts.Ok) << B.Facts.Errors;
   EXPECT_TRUE(How.Hit);
   EXPECT_EQ(B.Timing.CacheHits, 1u);
-  EXPECT_EQ(printModule(*B.M), Ref);
-  EXPECT_EQ(Cache.hits(), 1u);
+  EXPECT_EQ(B.M, A.M);
+  EXPECT_EQ(Cache.suffixHits(), 1u);
+
+  CompilerConfig Other = Cfg;
+  Other.ScalarPromotion = false;
+  CompiledSuffix C = Cache.compile(kProgram, Other, How);
+  ASSERT_TRUE(C.Facts.Ok) << C.Facts.Errors;
+  EXPECT_NE(C.M, A.M);
+  EXPECT_EQ(printModule(*C.M), printModule(*compileProgram(kProgram, Other).M));
+  EXPECT_EQ(printModule(*A.M), Ref);
+  EXPECT_EQ(Cache.hits(), 2u);
   EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(Cache.suffixHits(), 1u);
 }
 
 // -- identicalModules ---------------------------------------------------

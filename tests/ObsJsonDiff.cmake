@@ -6,7 +6,7 @@
 #      between --jobs=1 and --jobs=4.
 #   3. rpjson validates the remark, profile, trace and timing outputs.
 #   4. The canonical (timestamp-stripped) trace skeleton is identical
-#      between serial and parallel runs.
+#      between serial and parallel runs, with and without remarks.
 #
 # Invoked by ctest as:
 #   cmake -DRPCC_BIN=<rpcc> -DRPJSON_BIN=<rpjson> -DWORK_DIR=<dir>
@@ -121,6 +121,35 @@ if(NOT CANON1 STREQUAL CANON4)
 endif()
 if(NOT CANON1 MATCHES "cell\\|")
   message(FATAL_ERROR "canonical trace has no cell spans")
+endif()
+
+# --- the same without remarks: suffixes built once per key -----------------
+# A compile with remarks runs its suffix privately, so the traces above
+# label every pass with its cell. Without remarks, cells of one suffix key
+# share one build, and which cell builds it depends on thread timing: its
+# passes must carry the program and the suffix options, not the cell.
+foreach(JOBS 1 4)
+  execute_process(COMMAND ${RPCC_BIN} --suite ${PROGRAMS} --jobs=${JOBS}
+                          --trace ${WORK_DIR}/plain_trace${JOBS}.json
+                  OUTPUT_VARIABLE P_OUT ERROR_VARIABLE P_ERR
+                  RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "plain --trace --suite failed (rc=${RC}):\n${P_ERR}")
+  endif()
+  execute_process(COMMAND ${RPJSON_BIN} canon
+                          ${WORK_DIR}/plain_trace${JOBS}.json
+                  OUTPUT_VARIABLE PLAIN_CANON${JOBS} ERROR_VARIABLE V_ERR
+                  RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "rpjson canon plain_trace${JOBS} failed:\n${V_ERR}")
+  endif()
+endforeach()
+if(NOT PLAIN_CANON1 STREQUAL PLAIN_CANON4)
+  message(FATAL_ERROR "canonical trace skeleton without remarks differs "
+                      "between --jobs=1 and --jobs=4")
+endif()
+if(NOT PLAIN_CANON1 MATCHES "pass\\|regalloc;job=tsp/promote/r16")
+  message(FATAL_ERROR "suffix spans lack their program/options label")
 endif()
 
 # --- single-file timing JSON round-trips through rpjson --------------------

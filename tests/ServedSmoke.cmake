@@ -27,9 +27,12 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 # --- mixed corpus: compiles, runs, and compile errors under load ---------
 
+set(MIXED_CONNS 4)
+set(MIXED_REQUESTS 12) # per connection
 execute_process(COMMAND ${RPLOADGEN_BIN} --server=${RPSERVED_BIN}
                         --server-arg=--metrics-json=${WORK_DIR}/metrics.json
-                        --connections=4 --requests=12 --corpus=mixed
+                        --connections=${MIXED_CONNS}
+                        --requests=${MIXED_REQUESTS} --corpus=mixed
                         --expect-outcomes
                         --json=${WORK_DIR}/loadgen_mixed.json
                 OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
@@ -53,6 +56,54 @@ endif()
 file(READ ${WORK_DIR}/metrics.json METRICS)
 if(NOT METRICS MATCHES "served.requests")
   message(FATAL_ERROR "metrics snapshot has no served.requests counters")
+endif()
+
+# The suffix level on the real binary. The mixed plan (planRequest in
+# tools/rploadgen.cpp: request K = conn * 7919 + seq) posts /compile for two
+# good keys only, corpus programs 0 and 1 at the default config (K % 4 of 0
+# and 1), /run for program 2 (K % 4 == 2) and a compile error otherwise.
+# Every good request ran a suffix or was a suffix hit, and every good
+# /compile but the two that built those keys' slots was a hit. How many
+# /run calls found program 2's module still live depends on timing, so
+# that split is bounded, not pinned.
+set(GOOD_COMPILES 0)
+set(RUNS 0)
+math(EXPR LAST_CONN "${MIXED_CONNS} - 1")
+math(EXPR LAST_SEQ "${MIXED_REQUESTS} - 1")
+foreach(CONN RANGE ${LAST_CONN})
+  foreach(SEQ RANGE ${LAST_SEQ})
+    math(EXPR K "(${CONN} * 7919 + ${SEQ}) % 4")
+    if(K LESS 2)
+      math(EXPR GOOD_COMPILES "${GOOD_COMPILES} + 1")
+    elseif(K EQUAL 2)
+      math(EXPR RUNS "${RUNS} + 1")
+    endif()
+  endforeach()
+endforeach()
+execute_process(COMMAND ${RPJSON_BIN} metrics-canon ${WORK_DIR}/metrics.json
+                OUTPUT_VARIABLE CANON ERROR_VARIABLE ERR RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "rpjson metrics-canon failed:\n${ERR}")
+endif()
+if(NOT CANON MATCHES "cache\\.suffix_hits ([0-9]+)")
+  message(FATAL_ERROR "metrics have no cache.suffix_hits:\n${CANON}")
+endif()
+set(SUFFIX_HITS ${CMAKE_MATCH_1})
+if(NOT CANON MATCHES "compile\\.suffix_us count=([0-9]+)")
+  message(FATAL_ERROR "metrics have no compile.suffix_us:\n${CANON}")
+endif()
+set(SUFFIX_RAN ${CMAKE_MATCH_1})
+math(EXPR ANSWERED "${SUFFIX_HITS} + ${SUFFIX_RAN}")
+math(EXPR GOOD "${GOOD_COMPILES} + ${RUNS}")
+math(EXPR MIN_HITS "${GOOD_COMPILES} - 2")
+math(EXPR MAX_HITS "${GOOD_COMPILES} - 2 + ${RUNS} - 1")
+if(NOT ANSWERED EQUAL GOOD OR SUFFIX_HITS LESS MIN_HITS OR
+   SUFFIX_HITS GREATER MAX_HITS)
+  message(FATAL_ERROR
+          "suffix level: ${SUFFIX_HITS} hit(s) and ${SUFFIX_RAN} suffix "
+          "run(s) for ${GOOD_COMPILES} good /compile and ${RUNS} /run "
+          "requests; want hits + runs = ${GOOD} and hits in "
+          "[${MIN_HITS}, ${MAX_HITS}]")
 endif()
 
 # --- hostile corpus: crash/hang/oom children, exact classification -------

@@ -25,6 +25,7 @@
 #include "driver/SuiteRunner.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
+#include "obs/Remark.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
@@ -352,6 +353,205 @@ TEST(ArtifactCacheTest, DestroyedStoreWithdrawsItsGauges) {
 }
 
 //===----------------------------------------------------------------------===//
+// The suffix level
+//===----------------------------------------------------------------------===//
+
+/// Population of the compile.suffix_us histogram: suffixes that ran.
+uint64_t suffixRuns() {
+  uint64_t Count = 0, Sum = 0;
+  metricsHistTotals(MetricsRegistry::global().snapshot(), "compile.suffix_us",
+                    Count, Sum);
+  return Count;
+}
+
+TEST(SuffixLevelTest, IdentityClassesFollowTheAnalyzedModules) {
+  // Points-to shares modref's slots exactly where the two analyzed modules
+  // are identical: every benchmark program but bc and fft. Where they
+  // differ, the points-to cell must get points-to's own module.
+  const std::set<std::string> Separate = {"bc", "fft"};
+  for (const std::string &Name : benchProgramNames()) {
+    std::string Src = loadBenchProgram(Name);
+    ArtifactCache Cache(ArtifactCache::Unbounded);
+    for (bool Promote : {false, true}) {
+      CompilerConfig Mod;
+      Mod.ScalarPromotion = Promote;
+      CompilerConfig Pt = Mod;
+      Pt.Analysis = AnalysisKind::PointsTo;
+      ArtifactCache::Outcome O;
+      CompiledSuffix A = Cache.compile(Src, Mod, O);
+      CompiledSuffix B = Cache.compile(Src, Pt, O);
+      ASSERT_TRUE(A.Facts.Ok && B.Facts.Ok) << Name;
+      CompileOutput Ref = compileProgram(Src, Pt);
+      ASSERT_TRUE(Ref.Ok) << Name;
+      EXPECT_TRUE(identicalModules(*B.M, *Ref.M)) << Name;
+      if (Separate.count(Name)) {
+        EXPECT_NE(A.M, B.M) << Name;
+        EXPECT_FALSE(identicalModules(*A.M, *B.M)) << Name;
+      } else {
+        EXPECT_EQ(A.M, B.M) << Name;
+      }
+    }
+  }
+}
+
+TEST(SuffixLevelTest, FactsMatchTheMonolithicPipeline) {
+  // The 14 programs x the served grid (registers 8 and 16 x analysis x
+  // promotion), asked twice: the first call builds each slot (or reuses
+  // the other kind's), the second reads the facts alone.
+  ArtifactCache Cache(ArtifactCache::Unbounded);
+  for (const std::string &Name : benchProgramNames()) {
+    std::string Src = loadBenchProgram(Name);
+    for (unsigned Regs : {8u, 16u})
+      for (AnalysisKind Kind : {AnalysisKind::ModRef, AnalysisKind::PointsTo})
+        for (bool Promote : {false, true}) {
+          CompilerConfig Cfg;
+          Cfg.Analysis = Kind;
+          Cfg.ScalarPromotion = Promote;
+          Cfg.NumRegisters = Regs;
+          CompileOutput Ref = compileProgram(Src, Cfg);
+          ASSERT_TRUE(Ref.Ok) << Name;
+          for (int Rep = 0; Rep != 2; ++Rep) {
+            ArtifactCache::Outcome O;
+            SuffixFacts F = Cache.facts(Src, Cfg, O);
+            std::string Where = Name + " r" + std::to_string(Regs) +
+                                (Kind == AnalysisKind::PointsTo ? " pt" : "") +
+                                (Promote ? " promote" : "");
+            ASSERT_TRUE(F.Ok) << Where << ": " << F.Errors;
+            EXPECT_EQ(F.StaticOps, countStaticOps(*Ref.M)) << Where;
+            const CompileStats &A = F.Stats, &B = Ref.Stats;
+            EXPECT_EQ(A.Promo.PromotedTags, B.Promo.PromotedTags) << Where;
+            EXPECT_EQ(A.Promo.RewrittenOps, B.Promo.RewrittenOps) << Where;
+            EXPECT_EQ(A.Promo.LoadsInserted, B.Promo.LoadsInserted) << Where;
+            EXPECT_EQ(A.Promo.StoresInserted, B.Promo.StoresInserted)
+                << Where;
+            EXPECT_EQ(A.RegAlloc.Rounds, B.RegAlloc.Rounds) << Where;
+            EXPECT_EQ(A.RegAlloc.SpilledRegs, B.RegAlloc.SpilledRegs) << Where;
+            EXPECT_EQ(A.RegAlloc.CoalescedCopies, B.RegAlloc.CoalescedCopies)
+                << Where;
+          }
+        }
+  }
+  // 14 programs x 8 configs x 2 calls; 64 distinct suffix keys built.
+  EXPECT_EQ(Cache.suffixHits(), 14u * 8 * 2 - 64);
+}
+
+TEST(SuffixLevelTest, ConcurrentCompilesOfOneKeyBuildOneSuffix) {
+  ArtifactCache Cache(64u << 20);
+  constexpr unsigned N = 8;
+  uint64_t Runs0 = suffixRuns();
+  std::atomic<unsigned> Ready{0};
+  std::vector<CompiledSuffix> Got(N);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != N; ++I)
+    Threads.emplace_back([&, I] {
+      Ready.fetch_add(1);
+      while (Ready.load() != N)
+        std::this_thread::yield();
+      ArtifactCache::Outcome O;
+      Got[I] = Cache.compile(kProgram, CompilerConfig(), O);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(suffixRuns() - Runs0, 1u);
+  EXPECT_EQ(Cache.suffixHits(), N - 1);
+  for (unsigned I = 0; I != N; ++I) {
+    ASSERT_TRUE(Got[I].Facts.Ok) << Got[I].Facts.Errors;
+    EXPECT_EQ(Got[I].M, Got[0].M);
+  }
+}
+
+TEST(SuffixLevelTest, EvictionDropsTheArtifactsSlots) {
+  // A budget that holds kProgram's prefix and one slot, and not a second
+  // artifact beside it.
+  size_t OneEntry;
+  {
+    ArtifactCache Probe(ArtifactCache::Unbounded);
+    ArtifactCache::Outcome O;
+    Probe.facts(kProgram, CompilerConfig(), O);
+    OneEntry = Probe.bytes();
+  }
+  ArtifactCache Cache(OneEntry);
+  ArtifactCache::Outcome O;
+  uint64_t Runs0 = suffixRuns();
+  EXPECT_TRUE(Cache.facts(kProgram, CompilerConfig(), O).Ok);
+  EXPECT_TRUE(Cache.facts(kProgram, CompilerConfig(), O).Ok);
+  EXPECT_EQ(suffixRuns() - Runs0, 1u);
+  EXPECT_EQ(Cache.suffixHits(), 1u);
+  EXPECT_TRUE(Cache.facts(kOtherProgram, CompilerConfig(), O).Ok);
+  EXPECT_GE(Cache.evictions(), 1u);
+  // kProgram's artifact, slot included, is gone: its suffix runs again.
+  EXPECT_TRUE(Cache.facts(kProgram, CompilerConfig(), O).Ok);
+  EXPECT_TRUE(O.Miss);
+  EXPECT_EQ(suffixRuns() - Runs0, 3u);
+  EXPECT_EQ(Cache.suffixHits(), 1u);
+  EXPECT_LE(Cache.bytes(), OneEntry);
+}
+
+TEST(SuffixLevelTest, BudgetedSweepStaysWithinItsBudget) {
+  // A client sweeping the register count makes a new key per call. Room
+  // for ten slots beyond the prefix: ten keys get slots, every other call
+  // compiles privately, and the store never passes its budget.
+  size_t Prefix, OneSlot;
+  {
+    ArtifactCache Probe(ArtifactCache::Unbounded);
+    ArtifactCache::Outcome O;
+    Probe.get(kProgram, AnalysisKind::ModRef, O);
+    Prefix = Probe.bytes();
+    Probe.facts(kProgram, CompilerConfig(), O);
+    OneSlot = Probe.bytes() - Prefix;
+  }
+  ASSERT_GT(OneSlot, 0u);
+  const size_t Budget = Prefix + 10 * OneSlot;
+  ArtifactCache Cache(Budget);
+  for (int Pass = 0; Pass != 2; ++Pass)
+    for (unsigned Regs = 4; Regs != 60; ++Regs) {
+      CompilerConfig Cfg;
+      Cfg.NumRegisters = Regs;
+      ArtifactCache::Outcome O;
+      SuffixFacts F = Cache.facts(kProgram, Cfg, O);
+      EXPECT_TRUE(F.Ok) << F.Errors;
+      EXPECT_EQ(F.StaticOps, countStaticOps(*compileProgram(kProgram, Cfg).M))
+          << "registers=" << Regs;
+      EXPECT_LE(Cache.bytes(), Budget) << "registers=" << Regs;
+    }
+  EXPECT_EQ(Cache.entries(), 1u);
+  EXPECT_EQ(Cache.suffixHits(), 10u);
+}
+
+TEST(SuffixLevelTest, RemarksAndHooksNeitherReadNorFillASlot) {
+  // A loop over a global, so the promotion pass has something to remark.
+  const char *kProgram = "int g;\n"
+                         "int main() { int i;\n"
+                         "  for (i = 0; i < 10; i++) g = g + i;\n"
+                         "  return g; }\n";
+  ArtifactCache Cache(ArtifactCache::Unbounded);
+  ArtifactCache::Outcome O;
+  uint64_t Runs0 = suffixRuns();
+  RemarkEngine Re;
+  CompilerConfig WithRemarks;
+  WithRemarks.Remarks = &Re;
+  CompilerConfig WithHook;
+  WithHook.PostAnalysisHook = [](Module &) {};
+
+  CompiledSuffix R1 = Cache.compile(kProgram, WithRemarks, O);
+  // Nothing was filled: the plain call builds the slot.
+  CompiledSuffix Plain = Cache.compile(kProgram, CompilerConfig(), O);
+  EXPECT_EQ(suffixRuns() - Runs0, 2u);
+  EXPECT_EQ(Cache.suffixHits(), 0u);
+  // Nothing is read: with the slot's module live, both still compile.
+  CompiledSuffix R2 = Cache.compile(kProgram, WithRemarks, O);
+  CompiledSuffix H = Cache.compile(kProgram, WithHook, O);
+  EXPECT_EQ(suffixRuns() - Runs0, 4u);
+  EXPECT_EQ(Cache.suffixHits(), 0u);
+  EXPECT_NE(R2.M, Plain.M);
+  EXPECT_NE(H.M, Plain.M);
+  EXPECT_FALSE(Re.toJsonLines({}).empty());
+  // The slot itself still answers plain calls.
+  EXPECT_EQ(Cache.compile(kProgram, CompilerConfig(), O).M, Plain.M);
+  EXPECT_EQ(Cache.suffixHits(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // Server over real sockets
 //===----------------------------------------------------------------------===//
 
@@ -531,6 +731,90 @@ TEST_F(ServedSocketTest, RemarksForCachedKeyAndMethodDiscipline) {
   EXPECT_EQ(R.Status, 405);
   ASSERT_TRUE(C.request("GET", "/remarks?key=deadbeef", "", R));
   EXPECT_EQ(R.Status, 404);
+}
+
+TEST_F(ServedSocketTest, RemarksHonourTheSuffixOptions) {
+  // The remark stream depends on every suffix option (water's modref
+  // stream has 130, 90 and 71 lines at K = 4, 8 and 16), so /remarks takes
+  // /compile's options, defaults and validation.
+  startServer(ServerOptions());
+  HttpClient C;
+  ASSERT_TRUE(connectClient(C));
+  HttpClientResponse R;
+  std::string Src = loadBenchProgram("water");
+  std::string Key = ArtifactCache::contentKey(Src);
+  ASSERT_TRUE(C.request("POST", "/compile",
+                        "{\"source\":\"" + jsonEscape(Src) +
+                            "\",\"registers\":8}",
+                        R));
+  ASSERT_EQ(R.Status, 200);
+  AnalyzedModule AM =
+      analyzeFrontend(runFrontend(Src), AnalysisKind::ModRef);
+  auto Stream = [&](unsigned Regs, bool Opts, bool Ptr) {
+    CompilerConfig Cfg;
+    Cfg.NumRegisters = Regs;
+    Cfg.EnableOpts = Opts;
+    Cfg.PointerPromotion = Ptr;
+    RemarkEngine RE;
+    Cfg.Remarks = &RE;
+    EXPECT_TRUE(compileSuffix(AM, Cfg).Ok);
+    return RE.toJsonLines({{"key", Key}});
+  };
+  EXPECT_NE(Stream(8, true, false), Stream(16, true, false));
+  struct {
+    const char *Query;
+    unsigned Regs;
+    bool Opts, Ptr;
+  } Cases[] = {{"", 16, true, false},
+               {"&registers=8", 8, true, false},
+               {"&opts=0", 16, false, false},
+               {"&pointer_promotion=1", 16, true, true},
+               {"&registers=4&opts=false&promote=true", 4, false, false}};
+  for (const auto &Case : Cases) {
+    ASSERT_TRUE(C.request("GET", "/remarks?key=" + Key + Case.Query, "", R));
+    EXPECT_EQ(R.Status, 200) << Case.Query;
+    EXPECT_EQ(R.Body, Stream(Case.Regs, Case.Opts, Case.Ptr)) << Case.Query;
+  }
+  for (const char *Bad : {"&registers=3", "&registers=1025", "&registers=8.5",
+                          "&registers=abc", "&opts=maybe",
+                          "&analysis=steensgaard"}) {
+    ASSERT_TRUE(C.request("GET", "/remarks?key=" + Key + Bad, "", R));
+    EXPECT_EQ(R.Status, 400) << Bad;
+  }
+}
+
+TEST_F(ServedSocketTest, RemarksReadOnlyAPublishedAnalysis) {
+  // /remarks for a kind that a concurrent /compile is still building must
+  // not read the analyzed module mid-construction: it answers 404 until
+  // the kind is published, then 200. The tsan CI job checks the reads.
+  startServer(ServerOptions());
+  std::string Src = loadBenchProgram("go");
+  std::string Key = ArtifactCache::contentKey(Src);
+  HttpClient C;
+  ASSERT_TRUE(connectClient(C));
+  HttpClientResponse R;
+  ASSERT_TRUE(C.request("POST", "/compile", compileBody(Src), R));
+  ASSERT_EQ(R.Status, 200);
+
+  std::thread Compile([&] {
+    HttpClient C2;
+    HttpClientResponse R2;
+    ASSERT_TRUE(C2.connect("127.0.0.1", Srv->boundPort()));
+    ASSERT_TRUE(C2.request("POST", "/compile",
+                           "{\"source\":\"" + jsonEscape(Src) +
+                               "\",\"analysis\":\"points-to\"}",
+                           R2));
+    EXPECT_EQ(R2.Status, 200);
+  });
+  int Status = 0;
+  for (int I = 0; I != 10000 && Status != 200; ++I) {
+    ASSERT_TRUE(
+        C.request("GET", "/remarks?key=" + Key + "&analysis=points-to", "", R));
+    Status = R.Status;
+    EXPECT_TRUE(Status == 200 || Status == 404) << Status;
+  }
+  Compile.join();
+  EXPECT_EQ(Status, 200);
 }
 
 TEST_F(ServedSocketTest, MalformedRequestLineGets400AndClose) {

@@ -1,7 +1,7 @@
-# The shared-prefix compile cache must be invisible in every observable
-# output: `rpcc --suite` stdout, the remark stream, and the tag profile
-# must be byte-identical with the cache on (default) and off
-# (--no-compile-cache), serially and with eight workers.
+# The compile store (shared prefixes and suffixes) must be invisible in
+# every observable output: `rpcc --suite` stdout, the remark stream, and
+# the tag profile must be byte-identical with the cache on (default) and
+# off (--no-compile-cache), serially and with eight workers.
 #
 # Invoked by ctest as:
 #   cmake -DRPCC_BIN=<rpcc> -DWORK_DIR=<dir> -P SuiteCacheDiff.cmake
@@ -16,7 +16,9 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 # A program subset keeps the four suite runs fast; cache sharing is still
 # exercised because every program compiles under multiple configurations.
-set(PROGRAMS --programs=tsp,dhrystone,gzip_enc)
+# bc and fft are the programs whose two analyses differ, so their pointer
+# cells must not reuse the modref cells' suffixes.
+set(PROGRAMS --programs=tsp,dhrystone,gzip_enc,bc,fft)
 
 # Runs one --suite invocation and leaves its outputs in <tag>_OUT /
 # <tag>_ERR plus remark/profile JSON files named after the tag.
@@ -63,3 +65,24 @@ expect_same(cache1 cache8 "cache on, --jobs=1 vs --jobs=8")
 if(NOT cache1_OUT MATCHES "Figure 7: dynamic loads executed")
   message(FATAL_ERROR "--suite output is missing the Figure 7 table")
 endif()
+
+# A compile with remarks runs its suffix privately, so the runs above never
+# reach the store's suffix slots. Plain runs do: their tables must match
+# with the cache on and off as well.
+foreach(JOBS 1 8)
+  execute_process(COMMAND ${RPCC_BIN} --suite ${PROGRAMS} --jobs=${JOBS}
+                  OUTPUT_VARIABLE ON_OUT ERROR_VARIABLE ON_ERR
+                  RESULT_VARIABLE ON_RC)
+  execute_process(COMMAND ${RPCC_BIN} --suite ${PROGRAMS} --jobs=${JOBS}
+                          --no-compile-cache
+                  OUTPUT_VARIABLE OFF_OUT ERROR_VARIABLE OFF_ERR
+                  RESULT_VARIABLE OFF_RC)
+  if(NOT ON_RC EQUAL 0 OR NOT OFF_RC EQUAL 0)
+    message(FATAL_ERROR "plain --suite failed at --jobs=${JOBS}:\n"
+                        "${ON_ERR}${OFF_ERR}")
+  endif()
+  if(NOT ON_OUT STREQUAL OFF_OUT)
+    message(FATAL_ERROR
+            "plain --suite stdout differs: cache on vs off at --jobs=${JOBS}")
+  endif()
+endforeach()

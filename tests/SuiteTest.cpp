@@ -366,41 +366,54 @@ uint64_t histCount(const std::vector<MetricSample> &Samples,
 
 TEST(SuitePrefixStoreTest, PrefixBuiltOncePerProgram) {
   // A whole suite compiles through one store: one frontend per program,
-  // one analysis per (program, kind), one suffix per cell, and a miss for
-  // exactly the calls that ran the frontend or an analysis.
-  const size_t Programs = benchProgramNames().size();
-  for (unsigned Jobs : {1u, 4u}) {
-    SuiteOptions Opts;
-    Opts.Jobs = Jobs;
-    Opts.CollectTiming = true;
-    std::vector<MetricSample> S0 = MetricsRegistry::global().snapshot();
-    std::vector<ProgramResults> All = runSuite(benchProgramNames(), Opts);
-    std::vector<MetricSample> S1 = MetricsRegistry::global().snapshot();
-    EXPECT_EQ(histCount(S1, "compile.frontend_us") -
-                  histCount(S0, "compile.frontend_us"),
-              Programs)
-        << "Jobs=" << Jobs;
-    EXPECT_EQ(histCount(S1, "compile.analysis_us") -
-                  histCount(S0, "compile.analysis_us"),
-              2 * Programs)
-        << "Jobs=" << Jobs;
-    EXPECT_EQ(histCount(S1, "compile.suffix_us") -
-                  histCount(S0, "compile.suffix_us"),
-              4 * Programs)
-        << "Jobs=" << Jobs;
-    EXPECT_EQ(metricsValue(S1, "cache.misses") -
-                  metricsValue(S0, "cache.misses"),
-              static_cast<int64_t>(2 * Programs))
-        << "Jobs=" << Jobs;
-    // The suite's own tally counts a coalesced call as a hit.
-    uint64_t Hits = 0, Misses = 0;
-    for (const ProgramResults &PR : All) {
-      Hits += PR.Timing.CacheHits;
-      Misses += PR.Timing.CacheMisses;
+  // one analysis per (program, kind), one suffix per distinct suffix key
+  // (32: bc and fft compile four keys, the other twelve programs two,
+  // since their two analyses agree; the other 24 cells are suffix hits),
+  // one run per distinct module (31: sim's promoted cells compile alike
+  // under different keys), and a miss for exactly the calls that ran the
+  // frontend or an analysis. The counts hold at any --jobs, because every
+  // cell keeps its module live until its program is done.
+  // --no-compile-cache compiles and runs every cell from scratch.
+  const uint64_t Programs = benchProgramNames().size();
+  for (bool Cache : {true, false})
+    for (unsigned Jobs : {1u, 4u}) {
+      SuiteOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.CollectTiming = true;
+      Opts.UseCompileCache = Cache;
+      std::string Leg = "Jobs=" + std::to_string(Jobs) +
+                        (Cache ? "" : " --no-compile-cache");
+      std::vector<MetricSample> S0 = MetricsRegistry::global().snapshot();
+      int64_t Runs0 = interpRuns(Opts);
+      std::vector<ProgramResults> All = runSuite(benchProgramNames(), Opts);
+      std::vector<MetricSample> S1 = MetricsRegistry::global().snapshot();
+      auto Hist = [&](const char *Name) {
+        return histCount(S1, Name) - histCount(S0, Name);
+      };
+      auto Counter = [&](const char *Name) {
+        return metricsValue(S1, Name) - metricsValue(S0, Name);
+      };
+      EXPECT_EQ(Hist("compile.frontend_us"), Cache ? Programs : 4 * Programs)
+          << Leg;
+      EXPECT_EQ(Hist("compile.analysis_us"),
+                Cache ? 2 * Programs : 4 * Programs)
+          << Leg;
+      EXPECT_EQ(Hist("compile.suffix_us"), Cache ? 32u : 4 * Programs)
+          << Leg;
+      EXPECT_EQ(Counter("cache.suffix_hits"), Cache ? 24 : 0) << Leg;
+      EXPECT_EQ(interpRuns(Opts) - Runs0, Cache ? 31 : 56) << Leg;
+      EXPECT_EQ(Counter("cache.misses"),
+                Cache ? static_cast<int64_t>(2 * Programs) : 0)
+          << Leg;
+      // The suite's own tally counts a coalesced call as a hit.
+      uint64_t Hits = 0, Misses = 0;
+      for (const ProgramResults &PR : All) {
+        Hits += PR.Timing.CacheHits;
+        Misses += PR.Timing.CacheMisses;
+      }
+      EXPECT_EQ(Misses, Cache ? 2 * Programs : 0) << Leg;
+      EXPECT_EQ(Hits, Cache ? 2 * Programs : 0) << Leg;
     }
-    EXPECT_EQ(Misses, 2 * Programs) << "Jobs=" << Jobs;
-    EXPECT_EQ(Hits, 2 * Programs) << "Jobs=" << Jobs;
-  }
 }
 
 TEST(SuitePrefixStoreTest, StoreGaugesWithdrawnAfterEachCall) {
